@@ -53,7 +53,11 @@ void LocalityHarvester::onLock(const lock::LockRecord& record, const rtl::ExprSl
 
   // Key muxes cloned into the dummy operand subtree (possible when operands
   // are not plain signal references) are localities the full walk would see
-  // too.  Iterative pre-order over the dummy branch, tracking parent codes.
+  // too — when they carry a key bit of this round.  Clones of key muxes from
+  // before the round (keyIndex < roundKeyStart_) are walked through but not
+  // recorded: the full walk filters them out as well, so they must not force
+  // harvestInto's fallback.  Iterative pre-order over the dummy branch,
+  // tracking parent codes.
   const Expr& dummyBranch = record.keyValue ? mux.elseExpr() : mux.thenExpr();
   const int dummyCode = constructCode(dummyBranch);
   pending_.clear();
@@ -72,7 +76,7 @@ void LocalityHarvester::onLock(const lock::LockRecord& record, const rtl::ExprSl
       if (ternary.isKeyMux()) {
         const int keyIndex =
             static_cast<const rtl::KeyRefExpr&>(ternary.cond()).firstBit();
-        entries_.push_back(Entry{keyIndex, &ternary, parent, true});
+        if (keyIndex >= roundKeyStart_) entries_.push_back(Entry{keyIndex, &ternary, parent, true});
       }
     }
     const int myCode = constructCode(*expr);
@@ -107,15 +111,12 @@ void LocalityHarvester::forEachHarvested(Emit&& emit) const {
     return;
   }
   // Entries arrive in lock-event order; clones can carry smaller key indices
-  // than the mux that cloned them (or target-range indices to filter), so
-  // order by key index like the full-walk extractor (stable sort of pointers
-  // — entries_ itself stays in event order for undo bookkeeping).
+  // than the mux that cloned them, so order by key index like the full-walk
+  // extractor (stable sort of pointers — entries_ itself stays in event
+  // order for undo bookkeeping).
   order_.clear();
   order_.reserve(entries_.size());
-  for (const Entry& entry : entries_) {
-    if (entry.keyIndex < roundKeyStart_) continue;
-    order_.push_back(&entry);
-  }
+  for (const Entry& entry : entries_) order_.push_back(&entry);
   std::stable_sort(order_.begin(), order_.end(),
                    [](const Entry* a, const Entry* b) { return a->keyIndex < b->keyIndex; });
   for (const Entry* entry : order_) {

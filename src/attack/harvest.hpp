@@ -3,14 +3,14 @@
 // round of the SnapShot attack.
 //
 // The harvester observes a LockEngine: every lockOpAt records the freshly
-// installed key mux (plus any key muxes cloned into its dummy operand
-// subtree, which the full walk would also see).  Feature vectors are NOT
-// captured at lock time — a later lock in the same round can wrap a recorded
-// mux's branch (the paper's Fig. 3b nesting), changing its C1/C2 codes and
-// branch depths.  Instead harvest() computes features from the live
-// expression tree right before the round is undone; expression nodes never
-// move in memory (see core/engine.hpp), so the recorded mux pointers stay
-// valid until their locks are undone.  One exception is pre-computed: a
+// installed key mux (plus any key muxes of the round's key range cloned into
+// its dummy operand subtree, which the full walk would also see).  Feature
+// vectors are NOT captured at lock time — a later lock in the same round can
+// wrap a recorded mux's branch (the paper's Fig. 3b nesting), changing its
+// C1/C2 codes and branch depths.  Instead harvest() computes features from
+// the live expression tree right before the round is undone; expression nodes
+// never move in memory (see core/engine.hpp), so the recorded mux pointers
+// stay valid until their locks are undone.  One exception is pre-computed: a
 // mux's *parent* construct can never change after insertion (only binary
 // operations are wrapped, and wrapping interposes the new mux below the old
 // parent), so the parent code is captured at lock time.
@@ -56,8 +56,9 @@ class LocalityHarvester final : public lock::LockObserver {
   /// every other round takes the pure O(budget) incremental path.
   void harvestInto(ml::Dataset& out) const;
 
-  /// True when the current round recorded at least one cloned key mux (the
-  /// condition that makes harvestInto fall back to the full walk).
+  /// True when the current round recorded at least one cloned key mux of
+  /// its own key range (the condition that makes harvestInto fall back to
+  /// the full walk).  Clones of pre-round key muxes are never recorded.
   [[nodiscard]] bool roundHasClonedKeyMuxes() const noexcept;
 
   // LockObserver

@@ -83,6 +83,15 @@ SampleOutcome evaluateSample(WorkerSlot& slot, const rtl::Module& original,
 EvaluationResult evaluateBenchmark(const rtl::Module& original, const std::string& benchmarkName,
                                    lock::Algorithm algorithm, const lock::PairTable& table,
                                    const EvaluationConfig& config, support::Rng& rng) {
+  support::TaskPool pool{
+      support::threadsForTasks(config.threads, static_cast<std::size_t>(config.testLocks))};
+  return evaluateBenchmark(original, benchmarkName, algorithm, table, config, rng, pool);
+}
+
+EvaluationResult evaluateBenchmark(const rtl::Module& original, const std::string& benchmarkName,
+                                   lock::Algorithm algorithm, const lock::PairTable& table,
+                                   const EvaluationConfig& config, support::Rng& rng,
+                                   support::TaskPool& pool) {
   RTLOCK_REQUIRE(config.testLocks > 0, "evaluation needs at least one locked sample");
 
   // Seeding convention: one fork advances the caller's stream, then sample i
@@ -91,18 +100,16 @@ EvaluationResult evaluateBenchmark(const rtl::Module& original, const std::strin
   // loop bit-identical at every thread count.
   const support::Rng sampleRoot = rng.fork();
 
-  support::TaskPool pool{
-      support::threadsForTasks(config.threads, static_cast<std::size_t>(config.testLocks))};
-  // One reusable slot per worker; a slot is only ever touched by its owning
-  // worker, and reuse cannot influence results (see WorkerSlot above).
+  // One reusable slot per worker id; a slot is only ever touched by the
+  // worker owning that id, and reuse cannot influence results (see
+  // WorkerSlot above).
   std::vector<WorkerSlot> slots(static_cast<std::size_t>(pool.threadCount()));
+  const auto runSample = [&](int worker, std::size_t sample) {
+    return evaluateSample(slots[static_cast<std::size_t>(worker)], original, algorithm, table,
+                          config, sampleRoot.substream(sample));
+  };
   const std::vector<SampleOutcome> outcomes =
-      pool.mapWithWorker(static_cast<std::size_t>(config.testLocks),
-                         [&](int worker, std::size_t sample) {
-                           return evaluateSample(slots[static_cast<std::size_t>(worker)],
-                                                 original, algorithm, table, config,
-                                                 sampleRoot.substream(sample));
-                         });
+      pool.fanOut(static_cast<std::size_t>(config.testLocks), runSample);
 
   EvaluationResult result;
   result.benchmark = benchmarkName;

@@ -180,12 +180,18 @@ std::string ClaimBoard::donePath(std::size_t index) const {
   return dir_ + "/cell-" + std::to_string(index) + ".done";
 }
 
-bool ClaimBoard::claimIsStale(const std::string& path) const {
-  if (leaseMs_ <= 0.0) return false;
-  const std::optional<double> age = fileAgeMs(path);
-  // A vanished claim is not stale — the next O_CREAT|O_EXCL attempt settles
-  // who owns the cell now.
-  return age.has_value() && *age > leaseMs_;
+bool ClaimBoard::claimIsStealable(std::size_t index) const {
+  if (leaseMs_ > 0.0) {
+    const std::optional<double> age = fileAgeMs(claimPath(index));
+    // A vanished claim is not stale — the next O_CREAT|O_EXCL attempt
+    // settles who owns the cell now.
+    if (age.has_value() && *age > leaseMs_) return true;
+  }
+  // A claim this owner id left behind is an orphan of our own previous
+  // incarnation (same host, restarted worker): reclaim it immediately
+  // instead of waiting out the lease.
+  const std::optional<std::string> holder = claimOwner(index);
+  return holder.has_value() && *holder == owner_;
 }
 
 ClaimOutcome ClaimBoard::tryClaim(std::size_t index) {
@@ -226,29 +232,51 @@ ClaimOutcome ClaimBoard::tryClaim(std::size_t index) {
       throw support::Error{"cannot create claim file " + path + ": " + errnoText(errno)};
     }
 
-    bool steal = claimIsStale(path);
-    if (!steal) {
-      // A claim this owner id left behind is an orphan of our own previous
-      // incarnation (same host, restarted worker): reclaim it immediately
-      // instead of waiting out the lease.
-      const std::optional<std::string> holder = claimOwner(index);
-      steal = holder.has_value() && *holder == owner_;
-    }
-    if (!steal) {
+    if (!claimIsStealable(index)) {
       outcome.status = ClaimStatus::Busy;
       return outcome;
     }
 
-    // Steal: rename to a unique tombstone.  rename(2) is atomic, so when
-    // several workers notice the same stale claim exactly one rename
-    // succeeds — the losers see ENOENT and go round the loop again.
-    const std::string tombstone = path + ".steal-" + owner_ + "-" +
-                                  std::to_string(stealSeq.fetch_add(1, std::memory_order_relaxed));
-    if (::rename(path.c_str(), tombstone.c_str()) == 0) {
-      ::unlink(tombstone.c_str());
-      outcome.stolen = true;
-    } else if (errno != ENOENT) {
-      throw support::Error{"cannot reclaim stale claim " + path + ": " + errnoText(errno)};
+    // Steal under the cell's steal lock.  Judging the claim and renaming it
+    // away are two steps: without the lock, a rival could steal the stale
+    // claim and create its own fresh one in between, and the rename here
+    // would then remove that fresh claim — two owners.  Under the lock no
+    // other stealer touches the claim, and creators need it gone, so the
+    // claim judged again below is the one the rename removes.  The lock is
+    // an O_CREAT|O_EXCL file like the claim itself; one left by a stealer
+    // that died mid-steal ages out after a lease.
+    const std::string lockPath = path + ".steal";
+    const int lockFd = ::open(lockPath.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+    if (lockFd < 0) {
+      if (errno != EEXIST) {
+        throw support::Error{"cannot create steal lock " + lockPath + ": " + errnoText(errno)};
+      }
+      const std::optional<double> lockAge = fileAgeMs(lockPath);
+      if (leaseMs_ > 0.0 && lockAge.has_value() && *lockAge > leaseMs_) {
+        ::unlink(lockPath.c_str());  // orphaned by a dead stealer
+      }
+      outcome.status = ClaimStatus::Busy;  // a rival is stealing it right now
+      return outcome;
+    }
+    ::close(lockFd);
+    // Rename to a unique tombstone (atomic: when a slow owner races the
+    // steal, exactly one of the two sees the claim).  ENOENT means the claim
+    // went away since it was judged; the next round settles who owns it.
+    int renameError = 0;
+    if (claimIsStealable(index)) {
+      const std::string tombstone =
+          path + ".steal-" + owner_ + "-" +
+          std::to_string(stealSeq.fetch_add(1, std::memory_order_relaxed));
+      if (::rename(path.c_str(), tombstone.c_str()) == 0) {
+        ::unlink(tombstone.c_str());
+        outcome.stolen = true;
+      } else if (errno != ENOENT) {
+        renameError = errno;
+      }
+    }
+    ::unlink(lockPath.c_str());
+    if (renameError != 0) {
+      throw support::Error{"cannot reclaim stale claim " + path + ": " + errnoText(renameError)};
     }
   }
   outcome.status = ClaimStatus::Busy;

@@ -18,8 +18,12 @@
 //    *freshness* is judged by the file's mtime: heartbeat() atomically
 //    rewrites the claim, bumping mtime, and a claim older than the lease is
 //    presumed orphaned by a dead worker and may be stolen.  The steal itself
-//    is race-free — rename the stale claim to a unique tombstone (exactly
-//    one stealer wins the rename), then re-create via O_CREAT|O_EXCL;
+//    is race-free — holding the cell's steal lock (`cell-i.claim.steal`,
+//    itself created with O_CREAT|O_EXCL), judge the claim stale again and
+//    rename it to a unique tombstone, then re-create via O_CREAT|O_EXCL.
+//    The lock keeps a second stealer from renaming away the fresh claim the
+//    first one just created; a lock left by a stealer that died mid-steal
+//    ages out after a lease;
 //  * a completed cell gets `<manifest>.claims/cell-i.done` (atomic rename),
 //    the cross-worker "skip this" signal.  A crash between journal append
 //    and done-marker write, or a steal that races a slow owner, can at
@@ -119,7 +123,9 @@ class ClaimBoard {
   [[nodiscard]] std::string donePath(std::size_t index) const;
 
  private:
-  [[nodiscard]] bool claimIsStale(const std::string& path) const;
+  /// True when the claim on cell `index` has outlived its lease or was
+  /// left by this owner id.
+  [[nodiscard]] bool claimIsStealable(std::size_t index) const;
 
   std::string dir_;
   std::string owner_;

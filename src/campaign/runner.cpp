@@ -74,7 +74,7 @@ void onShutdownSignal(int signo) {
 }  // namespace
 
 CellOutcome executeCell(const Cell& cell, std::size_t index, const CampaignOptions& options,
-                        const CellFn& compute) {
+                        const CellFn& compute, support::TaskPool& pool) {
   const std::optional<FaultKind> fault = options.faults.at(index);
   const int maxAttempts = std::max(1, options.retry.maxAttempts);
   CellOutcome outcome;
@@ -84,6 +84,7 @@ CellOutcome executeCell(const Cell& cell, std::size_t index, const CampaignOptio
     context.attempt = attempt;
     context.deadlineMs = options.cellDeadlineMs;
     context.start = std::chrono::steady_clock::now();
+    context.pool = &pool;
     try {
       if (fault == FaultKind::Crash) std::_Exit(kCrashExitCode);
       if (fault == FaultKind::Throw) {
@@ -210,17 +211,20 @@ CampaignResult runCampaign(const std::vector<Cell>& cells, const CampaignOptions
     }
   }
 
-  support::TaskPool pool{support::threadsForTasks(options.threads, pending.size())};
+  // Not capped at the pending cell count: cells fan out on this pool too.
+  support::TaskPool pool{pending.empty() ? 1 : support::resolveThreadCount(options.threads)};
   std::mutex resultMutex;
   for (const std::size_t index : pending) {
     pool.submit([&, index] {
       if (shutdownRequested()) {
         // Stop claiming cells: this one stays Skipped, and the pool drops
-        // everything still queued without running these lambdas at all.
+        // every cell still queued without running these lambdas at all.
+        // Cells already running keep their fanned-out parts (fanOut never
+        // skips), so each finishes whole.
         pool.requestStop();
         return;
       }
-      CellOutcome outcome = executeCell(cells[index], index, options, compute);
+      CellOutcome outcome = executeCell(cells[index], index, options, compute, pool);
       if (journal != nullptr) journal->append(rowFromOutcome(cells[index], outcome));
       const std::lock_guard<std::mutex> lock{resultMutex};
       result.outcomes[index] = std::move(outcome);
@@ -274,6 +278,7 @@ CheckResult checkJournal(const std::vector<Cell>& cells, const Journal& journal,
     }
   }
 
+  support::TaskPool serial{1};
   for (const std::size_t index : sample) {
     const Cell& cell = cells[index];
     const JournalRow& row = journal.rows().at(cell.id.key());
@@ -281,6 +286,7 @@ CheckResult checkJournal(const std::vector<Cell>& cells, const Journal& journal,
     context.index = index;
     context.attempt = 1;
     context.start = std::chrono::steady_clock::now();
+    context.pool = &serial;
     const support::JsonValue recomputed = compute(cell, context);
     ++check.checkedCells;
     const std::string journaledLine = row.payload.dumpLine();

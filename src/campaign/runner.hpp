@@ -18,7 +18,9 @@
 //    next run (error/timeout rows re-run unless options.keepErrors);
 //  * graceful shutdown — on SIGINT/SIGTERM (or requestShutdown()) the
 //    runner stops claiming cells, drains in-flight workers, leaves the
-//    journal flushed, and reports interrupted=true.
+//    journal flushed, and reports interrupted=true.  A drained cell always
+//    finishes whole: the parts it fanned out on CellContext::pool all run,
+//    so a journaled payload is never built from a partial cell.
 //
 // Determinism contract: compute must be a pure function of the cell
 // identity (derive all randomness from the cell's seed/substream, never
@@ -35,6 +37,10 @@
 #include "campaign/fault.hpp"
 #include "campaign/journal.hpp"
 #include "support/diagnostics.hpp"
+
+namespace rtlock::support {
+class TaskPool;
+}  // namespace rtlock::support
 
 namespace rtlock::campaign {
 
@@ -70,7 +76,9 @@ struct RetryPolicy {
 };
 
 struct CampaignOptions {
-  int threads = 0;             // TaskPool convention: 0 = hardware, 1 = serial
+  /// Total workers, shared by the cells and whatever they fan out on
+  /// CellContext::pool.  TaskPool convention: 0 = hardware, 1 = serial.
+  int threads = 0;
   RetryPolicy retry;
   double cellDeadlineMs = 0.0;  // 0 = no deadline
   bool keepErrors = false;      // keep journaled error/timeout rows on resume
@@ -88,6 +96,12 @@ struct CellContext {
   int attempt = 1;        // 1-based
   double deadlineMs = 0.0;
   std::chrono::steady_clock::time_point start{};
+  /// The pool running the cell, never null when the campaign layer calls
+  /// compute.  A cell fans its independent parts out on it
+  /// (TaskPool::fanOut) so that workers left idle by the grid's tail help
+  /// the cells still running; --check recomputation hands a serial pool.
+  /// A shutdown drain still runs every fanned-out part of a started cell.
+  support::TaskPool* pool = nullptr;
 
   [[nodiscard]] double elapsedMs() const;
   [[nodiscard]] bool deadlineExpired() const;
@@ -110,18 +124,23 @@ struct CampaignResult {
   double wallMs = 0.0;
 };
 
-/// Runs the campaign.  `journal` may be null (no checkpointing).  Never
-/// throws for cell failures — only for infrastructure errors (journal I/O).
+/// Runs the campaign on one pool of `options.threads` workers: cells are
+/// claimed one per worker in grid order, and cells fanning out on
+/// CellContext::pool share those same workers once the queue of unstarted
+/// cells runs dry.  `journal` may be null (no checkpointing).  Never throws
+/// for cell failures — only for infrastructure errors (journal I/O).
 [[nodiscard]] CampaignResult runCampaign(const std::vector<Cell>& cells,
                                          const CampaignOptions& options, Journal* journal,
                                          const CellFn& compute);
 
 /// Runs one cell with the runner's full retry/backoff/deadline/fault
 /// machinery; never lets a cell exception escape.  (An injected crash fault
-/// does not return at all.)  Exposed for the distributed worker, which
+/// does not return at all.)  `pool` is the pool the cell runs on, handed to
+/// compute as CellContext::pool.  Exposed for the distributed worker, which
 /// claims cells itself instead of going through runCampaign.
 [[nodiscard]] CellOutcome executeCell(const Cell& cell, std::size_t index,
-                                      const CampaignOptions& options, const CellFn& compute);
+                                      const CampaignOptions& options, const CellFn& compute,
+                                      support::TaskPool& pool);
 
 /// Outcome <-> journal-row conversion, shared by the runner, the worker and
 /// the merge-driven report builders.
@@ -129,7 +148,8 @@ struct CampaignResult {
 [[nodiscard]] CellOutcome outcomeFromRow(const JournalRow& row);
 
 /// --check support: re-executes a deterministic sample of up to
-/// `sampleSize` journaled ok cells *serially* and byte-compares each
+/// `sampleSize` journaled ok cells *serially* (CellContext::pool is a
+/// one-thread pool, so fanned-out parts run inline) and byte-compares each
 /// recomputed payload against the journaled row (the distributed-vs-serial
 /// diff).  Returns the mismatching cell keys (empty = all byte-identical).
 struct CheckResult {

@@ -58,7 +58,9 @@ WorkerReport runWorker(const Manifest& manifest, const std::string& manifestPath
     if (options.campaign.onCell) options.campaign.onCell(i, outcomeFromRow(it->second));
   }
 
-  support::TaskPool pool{support::threadsForTasks(options.campaign.threads, states.size())};
+  // Not capped at the cell count: claimed cells fan out on this pool too.
+  const int workers = states.empty() ? 1 : support::resolveThreadCount(options.campaign.threads);
+  support::TaskPool pool{workers};
   // Claim only a little ahead of the pool so concurrent workers share the
   // grid instead of the first sweep hoarding every cell.  (The serial pool
   // runs cells inline during the sweep, so in-flight never accumulates and
@@ -74,7 +76,8 @@ WorkerReport runWorker(const Manifest& manifest, const std::string& manifestPath
       states[index] = CellState::Pending;
       return;
     }
-    CellOutcome outcome = executeCell(manifest.cells[index], index, options.campaign, compute);
+    CellOutcome outcome =
+        executeCell(manifest.cells[index], index, options.campaign, compute, pool);
     // Journal first, done marker second: a crash in between leaves the cell
     // claimable, and the recompute's byte-identical row dedups at merge.
     journal.append(rowFromOutcome(manifest.cells[index], outcome));

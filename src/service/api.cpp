@@ -440,7 +440,6 @@ EvalResponse runEval(SessionCache& cache, const EvalRequest& request) {
   config.snapshot.locality.extendedFeatures = request.extendedFeatures;
   config.verifyFunctional = request.verifyFunctional;
   config.simBackend = request.simBackend;
-  config.threads = 1;  // grid cells are the outer parallelism level
 
   const SessionCache::FetchResult fetched = cache.fetch(request.source, request.session);
   const rtl::Module& original =
@@ -507,9 +506,11 @@ EvalResponse runEval(SessionCache& cache, const EvalRequest& request) {
                                        const campaign::CellContext& context) {
     const std::size_t algoIndex = context.index / seedCount;
     support::Rng cellRng = support::Rng{cell.id.seed}.substream(algoIndex);
+    // The samples fan out on the campaign's pool: cells and samples share
+    // the request's workers.
     const attack::EvaluationResult result =
         attack::evaluateBenchmark(original, original.name(), request.algorithms[algoIndex],
-                                  lock::PairTable::fixed(), config, cellRng);
+                                  lock::PairTable::fixed(), config, cellRng, *context.pool);
     if (result.functionalFailures > 0) {
       // verifyFunctional found locked samples that misbehave under their
       // correct key: a locking bug, not a statistics question.  Surface it

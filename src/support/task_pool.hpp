@@ -3,11 +3,13 @@
 // The evaluation pipeline (Sec. 5) is embarrassingly parallel: every locked
 // sample, every (benchmark, algorithm) grid cell, and every figure scenario
 // is an independent task once it owns its own RNG substream and module clone.
-// TaskPool shards such batches across a fixed set of workers while keeping
-// the *observable* behaviour identical to a serial loop:
+// TaskPool shards such batches across a fixed set of workers, and lets a
+// running task fan its own sub-tasks out onto the same workers (fanOut: a
+// grid cell's locked samples), while keeping the *observable* behaviour
+// identical to a serial loop:
 //
 //  * results are collected in submission order, regardless of the order in
-//    which workers finish (map() fills a result slot per index);
+//    which workers finish (map() and fanOut() fill a result slot per index);
 //  * exceptions thrown by tasks are captured and rethrown from wait() — the
 //    first failure in submission order wins, exactly like a serial loop that
 //    stops at the first throw;
@@ -68,12 +70,6 @@ class TaskPool {
   /// batch.  Tasks may run in any order and on any worker.
   std::size_t submit(std::function<void()> task);
 
-  /// Like submit(), but the task receives the id of the worker executing it
-  /// (in [0, threadCount()); the inline serial path passes 0).  Worker ids
-  /// let tasks index per-worker reusable state — the ids are stable for the
-  /// pool's lifetime and never shared between concurrently running tasks.
-  std::size_t submitWithWorker(std::function<void(int)> task);
-
   /// Bounded-queue submit: enqueues like submit() unless the pool was built
   /// with a queueCapacity and that many tasks are already *queued* (running
   /// tasks don't count), in which case it returns false without touching any
@@ -100,12 +96,13 @@ class TaskPool {
   // requestStop() turns the pool into a drain: tasks already *running*
   // finish normally (long-running tasks should poll stopRequested() and cut
   // themselves short), tasks still queued are skipped entirely — their
-  // map()/mapWithWorker() result slots keep their default-constructed value
+  // map() result slots keep their default-constructed value
   // and submit/wait bookkeeping stays consistent, so wait() still unblocks
   // and the completed prefix of results is exactly what a serial loop that
   // stopped at the same point would have produced.  The flag is sticky
   // across batches (a SIGINT drain must not resume on the next batch);
-  // clearStop() re-arms the pool.  Both calls are safe from any thread,
+  // clearStop() re-arms the pool.  fanOut() sub-tasks are never skipped
+  // (see below).  Both calls are safe from any thread,
   // including from inside a running task.
 
   /// Stop claiming queued tasks; running tasks drain.  Idempotent.
@@ -147,35 +144,58 @@ class TaskPool {
     return results;
   }
 
-  /// map() variant whose callable receives (workerId, index).  Determinism
-  /// contract unchanged: per-worker state must never influence a task's
-  /// observable result — it exists for reuse (allocation amortization), not
-  /// for communication.
+  // ---- nested fan-out ------------------------------------------------------
+  //
+  // fanOut() splits one piece of work into `count` sub-tasks on this pool.
+  // Called from a task running on one of the pool's workers (a grid cell
+  // fanning out its locked samples), the calling worker becomes the group's
+  // parent: it runs its own unclaimed sub-tasks itself, while workers with
+  // no queued task take the rest, so a pool of N workers keeps at most N
+  // things running however the work nests.  Queued submit() tasks go to
+  // idle workers before any sub-task does, so the pool still works one task
+  // per worker until the queue runs dry and only the tail is shared.  A
+  // parent whose group has nothing left to claim waits for the sub-tasks
+  // other workers are still running.  Called from any other thread, fanOut()
+  // blocks while the workers run the group.  With threads == 1 every
+  // sub-task runs inline on the calling thread in index order.
+  //
+  // Sub-tasks keep their own bookkeeping (claim index, in-flight count,
+  // errors); the enclosing batch's submission indices, wait() and errors
+  // never see them.  They also ignore requestStop(): a drain finishes every
+  // sub-task of work that has already started, so no started piece of work
+  // is ever cut in half.
+
+  /// Runs `fn(workerId, index)` for every index in [0, count) and returns the
+  /// results in index order.  Worker ids are in [0, threadCount()) (0 on the
+  /// inline path); a worker id is never used by two running sub-tasks of one
+  /// group, so `fn` may index per-worker reusable state by it — for reuse
+  /// only, never to influence a result.  Once every sub-task has finished,
+  /// rethrows the failing sub-task's exception with the lowest index.
   template <typename Fn>
-  auto mapWithWorker(std::size_t count, Fn&& fn) {
+  auto fanOut(std::size_t count, Fn&& fn) {
     using Result = std::decay_t<std::invoke_result_t<Fn&, int, std::size_t>>;
     static_assert(!std::is_same_v<Result, bool>,
-                  "TaskPool::mapWithWorker cannot return bool (vector<bool> bit-packing races)");
+                  "TaskPool::fanOut cannot return bool (vector<bool> bit-packing races)");
     std::vector<Result> results(count);
-    try {
-      for (std::size_t index = 0; index < count; ++index) {
-        submitWithWorker(
-            [&results, &fn, index](int worker) { results[index] = fn(worker, index); });
-      }
-    } catch (...) {
-      try {
-        wait();
-      } catch (...) {  // NOLINT(bugprone-empty-catch)
-      }
-      throw;
-    }
-    wait();
+    runFanOut(count, [&results, &fn](int worker, std::size_t index) {
+      results[index] = fn(worker, index);
+    });
     return results;
   }
 
  private:
+  struct FanOutGroup;
+  using ErrorList = std::vector<std::pair<std::size_t, std::exception_ptr>>;
+
+  /// The failure with the lowest index in `errors`, or null.
+  [[nodiscard]] static std::exception_ptr firstError(const ErrorList& errors);
+
   void workerLoop(int workerId);
-  void runTask(std::size_t index, const std::function<void(int)>& task, int workerId) noexcept;
+  void runTask(std::size_t index, const std::function<void()>& task) noexcept;
+  void runFanOut(std::size_t count, const std::function<void(int, std::size_t)>& body);
+  /// Claims and runs the next sub-task of `group` as `workerId`; called and
+  /// returns with `lock` held.
+  void runSubTask(FanOutGroup& group, std::unique_lock<std::mutex>& lock, int workerId);
 
   int threadCount_ = 1;
   std::size_t queueCapacity_ = 0;  // trySubmit() bound; 0 = unbounded
@@ -184,12 +204,14 @@ class TaskPool {
   mutable std::mutex mutex_;
   std::condition_variable workAvailable_;
   std::condition_variable batchDone_;
-  std::deque<std::pair<std::size_t, std::function<void(int)>>> queue_;
+  std::condition_variable groupDone_;  // a fan-out group finished
+  std::deque<std::pair<std::size_t, std::function<void()>>> queue_;
   // Failures only, unordered: a long-running pool that never fails (the
   // serve worker pool) must not grow a slot per submission between wait()s.
-  std::vector<std::pair<std::size_t, std::exception_ptr>> errors_;
+  ErrorList errors_;
   std::size_t nextIndex_ = 0;  // submissions in the current batch
   std::size_t inFlight_ = 0;   // queued + running tasks
+  std::vector<FanOutGroup*> openGroups_;  // groups with unclaimed sub-tasks, oldest first
   bool stopping_ = false;
   std::atomic<bool> stopRequested_{false};  // cooperative cancellation flag
 };

@@ -14,6 +14,7 @@
 
 #include "campaign/fault.hpp"
 #include "support/diagnostics.hpp"
+#include "support/task_pool.hpp"
 
 namespace rtlock::campaign {
 namespace {
@@ -244,6 +245,77 @@ TEST(Runner, ShutdownMidCampaignDrainsAndReportsCompletedPrefix) {
   EXPECT_EQ(result.skippedCells, 5u);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(result.outcomes[i].status, CellStatus::Ok);
   for (std::size_t i = 3; i < 8; ++i) EXPECT_EQ(result.outcomes[i].status, CellStatus::Skipped);
+}
+
+TEST(Runner, DrainWithFannedOutPartsInFlightJournalsOnlyWholeCells) {
+  // Cells fan 8 parts each out on CellContext::pool.  Cell 2 is quick and
+  // requests the drain from one of its parts, so its worker moves on and
+  // stops the pool while cells 0, 1 and 3 still have parts queued.  Started
+  // cells must finish every part (their payloads equal a serial run's),
+  // unstarted cells are skipped, and a resume completes the grid to the
+  // clean run's outcomes.
+  const std::string path = freshPath("fanout_drain");
+  const std::vector<Cell> cells = makeGrid(12);
+  CampaignIdentity identity;
+  identity.designHash = cells[0].id.designHash;
+  identity.configHash = cells[0].id.configHash;
+  std::atomic<bool> drainArmed{true};
+  const CellFn compute = [&](const Cell& cell, const CellContext& context) {
+    const auto runPart = [&](int /*worker*/, std::size_t part) {
+      if (cell.id.seed == 2) {
+        if (part == 3 && drainArmed.load()) requestShutdown();
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      }
+      return static_cast<std::int64_t>(cell.id.seed * 100 + part + 1);
+    };
+    const std::vector<std::int64_t> parts = context.pool->fanOut(8, runPart);
+    std::int64_t sum = 0;
+    for (const std::int64_t value : parts) sum += value;
+    support::JsonValue payload;
+    payload.set("sum", sum);
+    return payload;
+  };
+  CampaignOptions options;
+  options.threads = 1;
+  drainArmed = false;
+  const CampaignResult clean = runCampaign(cells, options, nullptr, compute);
+  ASSERT_EQ(clean.okCells, cells.size());
+
+  options.threads = 4;
+  drainArmed = true;
+  CampaignResult drained;
+  {
+    Journal journal{path, identity};
+    drained = runCampaign(cells, options, &journal, compute);
+  }
+  clearShutdownRequest();
+  drainArmed = false;
+  EXPECT_TRUE(drained.interrupted);
+  EXPECT_GT(drained.skippedCells, 0u);
+  EXPECT_GE(drained.okCells, 3u);  // cells 0-2 had started when the drain began
+  EXPECT_EQ(drained.okCells + drained.skippedCells, cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (drained.outcomes[i].status != CellStatus::Ok) continue;
+    EXPECT_EQ(drained.outcomes[i].payload.dumpLine(), clean.outcomes[i].payload.dumpLine())
+        << "cell " << i;
+  }
+  const JournalFile file = readJournalFile(path);
+  EXPECT_EQ(file.rows.size(), drained.okCells);
+  for (const JournalRow& row : file.rows) {
+    EXPECT_EQ(row.payload.dumpLine(), clean.outcomes[row.id.seed].payload.dumpLine())
+        << row.id.key();
+  }
+
+  Journal journal{path, identity};
+  const CampaignResult resumed = runCampaign(cells, options, &journal, compute);
+  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_EQ(resumed.okCells, cells.size());
+  EXPECT_EQ(resumed.journaledCells, drained.okCells);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(resumed.outcomes[i].payload.dumpLine(), clean.outcomes[i].payload.dumpLine())
+        << "cell " << i;
+  }
 }
 
 TEST(Runner, InjectedThrowFaultProducesErrorRow) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -180,58 +185,6 @@ TEST(TaskPoolTest, DestructorDrainsOutstandingTasks) {
   EXPECT_EQ(counter.load(), 64);
 }
 
-TEST(TaskPoolTest, MapWithWorkerPassesIdsInRange) {
-  TaskPool pool{4};
-  constexpr std::size_t kTasks = 200;
-  const auto workers = pool.mapWithWorker(kTasks, [&](int worker, std::size_t index) {
-    std::this_thread::sleep_for(std::chrono::microseconds((index * 131) % 97));
-    return worker;
-  });
-  ASSERT_EQ(workers.size(), kTasks);
-  for (const int worker : workers) {
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, pool.threadCount());
-  }
-}
-
-TEST(TaskPoolTest, MapWithWorkerSerialPathRunsInlineAsWorkerZero) {
-  TaskPool pool{1};
-  const auto mainId = std::this_thread::get_id();
-  const auto results = pool.mapWithWorker(8, [&](int worker, std::size_t index) {
-    EXPECT_EQ(std::this_thread::get_id(), mainId);
-    EXPECT_EQ(worker, 0);
-    return index * 2;
-  });
-  for (std::size_t i = 0; i < results.size(); ++i) EXPECT_EQ(results[i], i * 2);
-}
-
-TEST(TaskPoolTest, PerWorkerSlotsAreNeverShared) {
-  // The clone-free sample loop's contract: a slot indexed by worker id is
-  // only ever touched by one thread at a time.  Tag each slot with its
-  // owning thread and fail on any cross-thread access.
-  TaskPool pool{4};
-  struct Slot {
-    std::thread::id owner{};
-    int uses = 0;
-  };
-  std::vector<Slot> slots(static_cast<std::size_t>(pool.threadCount()));
-  const auto results = pool.mapWithWorker(300, [&](int worker, std::size_t index) {
-    Slot& slot = slots[static_cast<std::size_t>(worker)];
-    if (slot.uses == 0) {
-      slot.owner = std::this_thread::get_id();
-    } else {
-      EXPECT_EQ(slot.owner, std::this_thread::get_id());
-    }
-    ++slot.uses;
-    std::this_thread::sleep_for(std::chrono::microseconds(index % 53));
-    return 1;
-  });
-  int totalUses = 0;
-  for (const Slot& slot : slots) totalUses += slot.uses;
-  EXPECT_EQ(totalUses, 300);
-  EXPECT_EQ(results.size(), 300u);
-}
-
 TEST(TaskPoolTest, RequestStopSkipsQueuedTasksKeepsCompletedResults) {
   // Cancel mid-map: a task flips the stop flag partway through the batch.
   // Tasks that already ran keep their results; skipped tasks keep the
@@ -388,6 +341,252 @@ TEST(TaskPoolTrySubmitTest, FailingTrySubmitTaskSurfacesAtWait) {
   ASSERT_TRUE(pool.trySubmit([&ran] { ++ran; }));
   pool.wait();
   EXPECT_EQ(ran.load(), 1);
+}
+
+// ---- nested fan-out ----------------------------------------------------------
+
+/// Blocks each arriving thread until `count` threads have arrived.
+class Latch {
+ public:
+  explicit Latch(int count) : remaining_(count) {}
+  void arriveAndWait() {
+    std::unique_lock<std::mutex> lock{mutex_};
+    if (--remaining_ == 0) {
+      released_.notify_all();
+      return;
+    }
+    released_.wait(lock, [this] { return remaining_ <= 0; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable released_;
+  int remaining_;
+};
+
+/// One per-worker slot: fails the test when two sub-tasks use it at once.
+struct ExclusiveSlot {
+  std::atomic<bool> inUse{false};
+  int uses = 0;
+};
+
+TEST(TaskPoolFanOutTest, ResultsComeBackInIndexOrderFromAnyCaller) {
+  TaskPool pool{4};
+  const auto square = [](int /*worker*/, std::size_t index) {
+    std::this_thread::sleep_for(std::chrono::microseconds((index * 131) % 97));
+    return index * index;
+  };
+  // From a thread outside the pool.
+  const auto outside = pool.fanOut(64, square);
+  ASSERT_EQ(outside.size(), 64u);
+  for (std::size_t i = 0; i < outside.size(); ++i) EXPECT_EQ(outside[i], i * i);
+  // From a task running on the pool (the caller becomes the group's parent).
+  std::vector<std::size_t> inside;
+  pool.submit([&] { inside = pool.fanOut(64, square); });
+  pool.wait();
+  ASSERT_EQ(inside.size(), 64u);
+  for (std::size_t i = 0; i < inside.size(); ++i) EXPECT_EQ(inside[i], i * i);
+  EXPECT_TRUE(pool.fanOut(0, square).empty());
+}
+
+TEST(TaskPoolFanOutTest, WorkerIdsStayInRange) {
+  TaskPool pool{4};
+  std::vector<int> workers;
+  const auto workerOf = [](int worker, std::size_t /*index*/) { return worker; };
+  pool.submit([&] { workers = pool.fanOut(200, workerOf); });
+  pool.wait();
+  ASSERT_EQ(workers.size(), 200u);
+  for (const int worker : workers) {
+    EXPECT_GE(worker, 0);
+    EXPECT_LT(worker, pool.threadCount());
+  }
+}
+
+TEST(TaskPoolFanOutTest, FirstErrorByIndexIsRethrownAfterTheGroupDrains) {
+  TaskPool pool{4};
+  std::atomic<int> finished{0};
+  std::string caught;
+  int finishedAtRethrow = -1;
+  pool.submit([&] {
+    try {
+      (void)pool.fanOut(40, [&](int /*worker*/, std::size_t index) {
+        std::this_thread::sleep_for(std::chrono::microseconds((39 - index) * 20));
+        finished.fetch_add(1);
+        if (index == 7 || index == 23) throw std::runtime_error{"sub " + std::to_string(index)};
+        return 1;
+      });
+    } catch (const std::runtime_error& error) {
+      caught = error.what();
+      finishedAtRethrow = finished.load();
+    }
+  });
+  pool.wait();  // the sub-task errors are the group's, not the batch's
+  EXPECT_EQ(caught, "sub 7");
+  EXPECT_EQ(finishedAtRethrow, 40);
+  // Nothing leaked into the pool's batch bookkeeping either.
+  pool.submit([] {});
+  pool.wait();
+}
+
+TEST(TaskPoolFanOutTest, OneThreadRunsInlineInIndexOrderAsWorkerZero) {
+  TaskPool pool{1};
+  const auto mainId = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  const auto results = pool.fanOut(8, [&](int worker, std::size_t index) {
+    EXPECT_EQ(std::this_thread::get_id(), mainId);
+    EXPECT_EQ(worker, 0);
+    order.push_back(index);
+    return index * 2;
+  });
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i], i * 2);
+    EXPECT_EQ(order[i], i);
+  }
+  // Nested inside an inline task, with an error: still inline, still drained.
+  int ran = 0;
+  const auto failSecond = [&](int /*worker*/, std::size_t index) {
+    ++ran;
+    if (index == 1) throw std::runtime_error{"inline"};
+    return 0;
+  };
+  pool.submit([&] { EXPECT_THROW((void)pool.fanOut(5, failSecond), std::runtime_error); });
+  pool.wait();
+  EXPECT_EQ(ran, 5);
+}
+
+TEST(TaskPoolFanOutTest, NoDeadlockWhenEveryWorkerIsAWaitingParent) {
+  TaskPool pool{4};
+  Latch allParents{pool.threadCount()};
+  std::vector<std::vector<int>> results(static_cast<std::size_t>(pool.threadCount()));
+  for (std::size_t p = 0; p < results.size(); ++p) {
+    pool.submit([&, p] {
+      allParents.arriveAndWait();  // every worker is a parent before any fans out
+      results[p] = pool.fanOut(25, [p](int, std::size_t index) {
+        std::this_thread::sleep_for(std::chrono::microseconds(index % 7 * 30));
+        return static_cast<int>(p * 100 + index);
+      });
+    });
+  }
+  pool.wait();
+  for (std::size_t p = 0; p < results.size(); ++p) {
+    ASSERT_EQ(results[p].size(), 25u);
+    for (std::size_t i = 0; i < 25; ++i) EXPECT_EQ(results[p][i], static_cast<int>(p * 100 + i));
+  }
+}
+
+TEST(TaskPoolFanOutTest, QueuedTasksGoToIdleWorkersBeforeSubTasks) {
+  // Two workers, three tasks: A fans out slow sub-tasks, B and C (the last
+  // submitted) are quick.  The worker that finishes B must take C before it
+  // helps A.
+  TaskPool pool{2};
+  std::atomic<int> clock{0};
+  int cStarted = -1;
+  std::vector<std::pair<std::thread::id, int>> helperStarts;
+  std::mutex helperMutex;
+  Latch queued{2};  // A fans out only once C is queued
+  pool.submit([&] {
+    queued.arriveAndWait();
+    const std::thread::id parent = std::this_thread::get_id();
+    (void)pool.fanOut(12, [&](int, std::size_t) {
+      const int now = clock.fetch_add(1);
+      if (std::this_thread::get_id() != parent) {
+        const std::lock_guard<std::mutex> lock{helperMutex};
+        helperStarts.emplace_back(std::this_thread::get_id(), now);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      return 0;
+    });
+  });
+  pool.submit([] {});  // B
+  pool.submit([&] { cStarted = clock.fetch_add(1); });
+  queued.arriveAndWait();
+  pool.wait();
+  ASSERT_GE(cStarted, 0);
+  ASSERT_FALSE(helperStarts.empty());  // the idle worker did help A afterwards
+  for (const auto& [thread, start] : helperStarts) EXPECT_GT(start, cStarted);
+}
+
+TEST(TaskPoolFanOutTest, RequestStopNeverSkipsSubTasksOfStartedWork) {
+  for (const int threads : {1, 4}) {
+    TaskPool pool{threads};
+    std::vector<int> results;
+    std::atomic<int> laterTasks{0};
+    pool.submit([&] {
+      results = pool.fanOut(50, [&](int, std::size_t index) {
+        if (index == 5) pool.requestStop();
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        return 1;
+      });
+    });
+    pool.submit([&] { laterTasks.fetch_add(1); });  // queued: the drain drops it
+    pool.wait();
+    EXPECT_EQ(std::accumulate(results.begin(), results.end(), 0), 50) << "threads=" << threads;
+    if (threads == 1) {
+      EXPECT_EQ(laterTasks.load(), 0);
+    }
+  }
+}
+
+TEST(TaskPoolFanOutTest, StressFourHundredSubTasksAcrossNineParents) {
+  // 9 parents on 4 workers (the eval grid's shape), 400 sub-tasks between
+  // them, two of the parents fanning out again from inside a sub-task.  At
+  // most threadCount() bodies run at once, every result lands in its slot,
+  // and a per-worker slot of a group is never used by two sub-tasks at once.
+  TaskPool pool{4};
+  constexpr std::size_t kParents = 9;
+  const std::size_t counts[kParents] = {44, 44, 44, 44, 44, 44, 44, 44, 48};
+  const auto workers = static_cast<std::size_t>(pool.threadCount());
+  std::mutex runningMutex;
+  int running = 0;
+  int peak = 0;
+  const auto countRunning = [&](int delta) {
+    const std::lock_guard<std::mutex> lock{runningMutex};
+    running += delta;
+    peak = std::max(peak, running);
+  };
+  std::vector<std::vector<std::size_t>> results(kParents);
+  std::vector<std::unique_ptr<ExclusiveSlot[]>> slots;
+  for (std::size_t p = 0; p < kParents; ++p) {
+    slots.push_back(std::make_unique<ExclusiveSlot[]>(workers));
+  }
+  for (std::size_t p = 0; p < kParents; ++p) {
+    pool.submit([&, p] {
+      results[p] = pool.fanOut(counts[p], [&, p](int worker, std::size_t index) {
+        countRunning(1);
+        // The slot stays held across the nested fan-out below: no other
+        // sub-task of this group may run as this worker meanwhile.
+        ExclusiveSlot& slot = slots[p][static_cast<std::size_t>(worker)];
+        EXPECT_FALSE(slot.inUse.exchange(true)) << "slot shared by running sub-tasks";
+        ++slot.uses;
+        std::this_thread::sleep_for(std::chrono::microseconds((index * 37) % 50));
+        std::size_t nested = 0;
+        if (p % 4 == 1 && index == 3) {
+          countRunning(-1);  // the nested group's bodies are not counted
+          const auto inner = pool.fanOut(6, [](int, std::size_t i) { return i + 1; });
+          nested = std::accumulate(inner.begin(), inner.end(), std::size_t{0});
+          countRunning(1);
+        }
+        slot.inUse.store(false);
+        countRunning(-1);
+        return p * 1000 + index + nested;
+      });
+    });
+  }
+  pool.wait();
+  std::size_t total = 0;
+  for (std::size_t p = 0; p < kParents; ++p) {
+    ASSERT_EQ(results[p].size(), counts[p]);
+    for (std::size_t i = 0; i < counts[p]; ++i) {
+      const std::size_t nested = p % 4 == 1 && i == 3 ? 21 : 0;
+      EXPECT_EQ(results[p][i], p * 1000 + i + nested) << p << "/" << i;
+    }
+    int uses = 0;
+    for (std::size_t w = 0; w < workers; ++w) uses += slots[p][w].uses;
+    EXPECT_EQ(static_cast<std::size_t>(uses), counts[p]);
+    total += counts[p];
+  }
+  EXPECT_EQ(total, 400u);
+  EXPECT_LE(peak, pool.threadCount());
 }
 
 }  // namespace
