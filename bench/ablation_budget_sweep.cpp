@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
     config.testLocks = static_cast<int>(args.getInt("samples", 2));
     config.snapshot.relockRounds = static_cast<int>(args.getInt("relocks", 50));
     config.snapshot.automl.folds = 2;
-    config.threads = 1;  // sweep cells are the outer parallelism level
 
     bench::banner("Key-budget sweep — the 'half measures' claim",
                   "Sisejkovic et al., DAC'22, Sec. 5.1 (lessons learned)",
@@ -37,13 +36,12 @@ int main(int argc, char** argv) {
 
     // One task per (budget, algorithm) cell; cell i draws only from
     // substream(i) of the master seed, so the sweep is bit-identical at any
-    // thread count.
+    // thread count.  Each cell fans its samples out on the same pool.
     const std::vector<int> budgetGrid{10, 25, 50, 75, 90, 100};
     const std::vector<lock::Algorithm> algorithms{
         lock::Algorithm::AssureSerial, lock::Algorithm::Hra, lock::Algorithm::Era};
     const support::Rng root{seed};
-    support::TaskPool pool{support::threadsForTasks(bench::requestedThreads(args),
-                                                    budgetGrid.size() * algorithms.size())};
+    support::TaskPool pool{bench::requestedThreads(args)};
     const auto cells = pool.map(
         budgetGrid.size() * algorithms.size(), [&](std::size_t index) {
           attack::EvaluationConfig cellConfig = config;
@@ -52,7 +50,7 @@ int main(int argc, char** argv) {
           support::Rng rng = root.substream(index);
           return attack::evaluateBenchmark(original, benchmarkName,
                                            algorithms[index % algorithms.size()],
-                                           lock::PairTable::fixed(), cellConfig, rng);
+                                           lock::PairTable::fixed(), cellConfig, rng, pool);
         });
 
     for (std::size_t b = 0; b < budgetGrid.size(); ++b) {

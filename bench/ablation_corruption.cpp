@@ -18,8 +18,10 @@ int main(int argc, char** argv) {
     const bool csv = args.getBool("csv", false);
     const double budgetFraction = args.getDouble("budget", 0.75);
 
+    const auto vectors = args.getInt("vectors", 16);
+    if (vectors < 1) throw support::Error{"--vectors must be at least 1"};
     sim::EquivalenceOptions options;
-    options.vectors = static_cast<int>(args.getInt("vectors", 16));
+    options.vectors = static_cast<int>(vectors);
     options.cyclesPerVector = 40;
 
     bench::banner("Wrong-key output corruption",

@@ -20,7 +20,9 @@ int main(int argc, char** argv) {
     const support::CliArgs args(argc, argv, {"seed", "csv", "samples", "relocks", "threads"});
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
     const bool csv = args.getBool("csv", false);
-    const int threads = bench::requestedThreads(args);
+    // The grid shares one rng stream serially (cells are compared against
+    // each other), so the sample loop is the parallelism level.
+    support::TaskPool pool{bench::requestedThreads(args)};
 
     bench::banner("Locality feature-set ablation (basic [C1,C2] vs extended)",
                   "extension of Sisejkovic et al., DAC'22, Sec. 5 (SnapShot adaptation)",
@@ -37,16 +39,13 @@ int main(int argc, char** argv) {
         config.testLocks = static_cast<int>(args.getInt("samples", 2));
         config.snapshot.relockRounds = static_cast<int>(args.getInt("relocks", 60));
         config.snapshot.automl.folds = 2;
-        // The grid here shares one rng stream serially (cells are compared
-        // against each other), so the sample loop is the parallelism level.
-        config.threads = threads;
 
         config.snapshot.locality.extendedFeatures = false;
         const auto basic = attack::evaluateBenchmark(original, name, algorithm,
-                                                     lock::PairTable::fixed(), config, rng);
+                                                     lock::PairTable::fixed(), config, rng, pool);
         config.snapshot.locality.extendedFeatures = true;
-        const auto extended = attack::evaluateBenchmark(original, name, algorithm,
-                                                        lock::PairTable::fixed(), config, rng);
+        const auto extended = attack::evaluateBenchmark(
+            original, name, algorithm, lock::PairTable::fixed(), config, rng, pool);
         table.addRow({name, std::string{lock::algorithmName(algorithm)},
                       support::formatDouble(basic.meanKpa, 2),
                       support::formatDouble(extended.meanKpa, 2)});

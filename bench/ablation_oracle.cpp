@@ -23,7 +23,9 @@ int main(int argc, char** argv) {
 
     attack::OracleAttackConfig config;
     config.trials = static_cast<int>(args.getInt("trials", 6));
-    config.vectors = static_cast<int>(args.getInt("vectors", 8));
+    const auto vectors = args.getInt("vectors", 8);
+    if (vectors < 1) throw support::Error{"--vectors must be at least 1"};
+    config.vectors = static_cast<int>(vectors);
     config.cyclesPerVector = 40;  // cover the deepest pipeline (32-tap FIR)
 
     bench::banner(

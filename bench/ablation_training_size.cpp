@@ -27,29 +27,28 @@ int main(int argc, char** argv) {
 
     // One task per round-count cell, seeded from substream(cell index); the
     // two algorithm evaluations inside a cell share the cell's stream
-    // serially, so the sweep is bit-identical at any thread count.
+    // serially, so the sweep is bit-identical at any thread count.  Each
+    // evaluation fans its samples out on the same pool.
     const std::vector<int> roundGrid{5, 10, 25, 50, 100, 200};
     struct Cell {
       attack::EvaluationResult assure;
       attack::EvaluationResult era;
     };
     const support::Rng root{seed};
-    support::TaskPool pool{
-        support::threadsForTasks(bench::requestedThreads(args), roundGrid.size())};
+    support::TaskPool pool{bench::requestedThreads(args)};
     const auto cells = pool.map(roundGrid.size(), [&](std::size_t index) {
       attack::EvaluationConfig config;
       config.testLocks = static_cast<int>(args.getInt("samples", 2));
       config.snapshot.relockRounds = roundGrid[index];
       config.snapshot.automl.folds = 2;
-      config.threads = 1;  // sweep cells are the outer parallelism level
 
       support::Rng rng = root.substream(index);
       Cell cell;
       cell.assure = attack::evaluateBenchmark(original, benchmarkName,
                                               lock::Algorithm::AssureSerial,
-                                              lock::PairTable::fixed(), config, rng);
+                                              lock::PairTable::fixed(), config, rng, pool);
       cell.era = attack::evaluateBenchmark(original, benchmarkName, lock::Algorithm::Era,
-                                           lock::PairTable::fixed(), config, rng);
+                                           lock::PairTable::fixed(), config, rng, pool);
       return cell;
     });
 

@@ -10,7 +10,10 @@
 //   --threads=N    experiment-engine workers (default: RTLOCK_THREADS env,
 //                  else hardware concurrency; 1 = serial reference path)
 // and their results are bit-identical at every thread count (see
-// support/task_pool.hpp).  Other flags are documented in each main().
+// support/task_pool.hpp).  The evaluateBenchmark benches size ONE pool by
+// --threads and pass it into every evaluateBenchmark call, so grid cells and
+// their locked samples share its workers, as in `rtlock eval`.  Other flags
+// are documented in each main().
 #pragma once
 
 #include <cerrno>

@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
                                              "benchmarks", "extended", "threads"});
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
     const bool csv = args.getBool("csv", false);
-    const int threads = rtlock::bench::requestedThreads(args);
 
     attack::EvaluationConfig config;
     config.testLocks = static_cast<int>(args.getInt("samples", 3));
@@ -35,9 +34,6 @@ int main(int argc, char** argv) {
     config.snapshot.relockBudgetFraction = config.keyBudgetFraction;
     config.snapshot.locality.extendedFeatures = args.getBool("extended", false);
     config.snapshot.automl.folds = 3;
-    // The grid is the outer parallelism level; keep the per-cell sample loop
-    // on the serial reference path to avoid oversubscription.
-    config.threads = 1;
 
     std::vector<std::string> benchmarks = designs::benchmarkNames();
     if (args.has("benchmarks")) {
@@ -64,17 +60,18 @@ int main(int argc, char** argv) {
 
     // One task per (benchmark, algorithm) cell; cell i draws only from
     // substream(i) of the master seed, so the grid is thread-count
-    // invariant.  Results come back in submission order.
+    // invariant.  Each cell fans its samples out on the same pool, so cells
+    // and samples share the --threads workers.  Results come back in
+    // submission order.
     const support::Rng root{seed};
-    support::TaskPool pool{
-        support::threadsForTasks(threads, benchmarks.size() * algorithms.size())};
+    support::TaskPool pool{rtlock::bench::requestedThreads(args)};
     const auto cells = pool.map(
         benchmarks.size() * algorithms.size(), [&](std::size_t index) {
           const std::size_t b = index / algorithms.size();
           const lock::Algorithm algorithm = algorithms[index % algorithms.size()];
           support::Rng cellRng = root.substream(index);
           return attack::evaluateBenchmark(originals[b], benchmarks[b], algorithm,
-                                           lock::PairTable::fixed(), config, cellRng);
+                                           lock::PairTable::fixed(), config, cellRng, pool);
         });
 
     for (std::size_t b = 0; b < benchmarks.size(); ++b) {

@@ -31,6 +31,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -152,6 +153,7 @@ void runFig5(std::vector<Row>& rows, std::uint64_t seed, int threads) {
 // One task per (algorithm, benchmark) cell; cell i draws only from
 // substream(i) of the section root, so the grid is bit-identical at every
 // thread count (the engine's seeding convention — see support/task_pool.hpp).
+// Each cell fans its samples out on the same pool, as `rtlock eval` does.
 // The whole grid is timed as one batch and recorded as the
 // fig6_quick/wall_ms (or fig6_full/wall_ms) perf row that optimisation PRs
 // track; per-algorithm quality rows carry no wall time of their own.
@@ -163,7 +165,6 @@ void runFig6(std::vector<Row>& rows, std::uint64_t seed, bool full, int threads)
   config.snapshot.relockRounds = full ? 1000 : 30;
   config.snapshot.relockBudgetFraction = config.keyBudgetFraction;
   config.snapshot.automl.folds = 3;
-  config.threads = 1;  // grid cells are the outer parallelism level
 
   const std::vector<std::string> benchmarks =
       full ? designs::benchmarkNames() : std::vector<std::string>{"FIR", "SASC"};
@@ -180,8 +181,7 @@ void runFig6(std::vector<Row>& rows, std::uint64_t seed, bool full, int threads)
   const support::Rng root{seed + 100};
   // Construct the pool outside the timed region: the fig6 wall row tracks
   // grid execution, not worker spawn/join overhead.
-  support::TaskPool pool{
-      support::threadsForTasks(threads, algorithms.size() * benchmarks.size())};
+  support::TaskPool pool{threads};
   const auto start = Clock::now();
   const auto cells = pool.map(
       algorithms.size() * benchmarks.size(), [&](std::size_t index) {
@@ -189,7 +189,7 @@ void runFig6(std::vector<Row>& rows, std::uint64_t seed, bool full, int threads)
         const std::size_t b = index % benchmarks.size();
         support::Rng cellRng = root.substream(index);
         return attack::evaluateBenchmark(originals[b], benchmarks[b], algorithm,
-                                         lock::PairTable::fixed(), config, cellRng)
+                                         lock::PairTable::fixed(), config, cellRng, pool)
             .meanKpa;
       });
   const double gridWallMs = elapsedMs(start);
@@ -355,12 +355,8 @@ void runPerf(std::vector<Row>& rows, std::uint64_t seed) {
   {
     // Corruption sweep: compile a locked SHA256 pair once, then measure
     // output corruption under many hypothesis keys (the oracle-guided
-    // attack's hot loop shape).  The headline row batches every key through
-    // the bit-sliced backend — outputCorruptionBatch packs the key x vector
-    // measurements 64 per tape pass — while the scalar row keeps the old
-    // per-key compiled-tape loop as the oracle trajectory.  Both rows score
-    // identical per-key values: the batch draws one shared stimulus set,
-    // matching the old loop's fresh Rng{seed + 6} per key.
+    // attack's hot loop shape).  outputCorruptionBatch packs the key x
+    // vector measurements 64 per tape pass over one shared stimulus set.
     const rtl::Module original = designs::makeBenchmark("SHA256");
     rtl::Module locked = original.clone();
     lock::LockEngine engine{locked, lock::PairTable::fixed()};
@@ -377,32 +373,17 @@ void runPerf(std::vector<Row>& rows, std::uint64_t seed) {
       keys.push_back(sim::BitVector::random(locked.keyWidth(), rng));
     }
     constexpr int kIterations = 20;  // one batch is ~0.1 ms; amortise the timer
-    {
-      sim::Harness harness{original, locked, sim::SimBackend::Sliced};
-      timedRow(rows, "perf", "SHA256 locked@50%", "corruption_sweep_ms", [&] {
-        const auto start = Clock::now();
-        for (int i = 0; i < kIterations; ++i) {
-          support::Rng stimulusRng{seed + 6};
-          if (harness.outputCorruptionBatch(keys, options, stimulusRng).size() != kKeys) {
-            return -1.0;
-          }
+    sim::Harness harness{original, locked};
+    timedRow(rows, "perf", "SHA256 locked@50%", "corruption_sweep_ms", [&] {
+      const auto start = Clock::now();
+      for (int i = 0; i < kIterations; ++i) {
+        support::Rng stimulusRng{seed + 6};
+        if (harness.outputCorruptionBatch(keys, options, stimulusRng).size() != kKeys) {
+          return -1.0;
         }
-        return elapsedMs(start) / (kKeys * kIterations);
-      });
-    }
-    {
-      sim::Harness harness{original, locked, sim::SimBackend::Compiled};
-      timedRow(rows, "perf", "SHA256 locked@50%", "scalar_corruption_sweep_ms", [&] {
-        const auto start = Clock::now();
-        for (int i = 0; i < kIterations; ++i) {
-          for (const sim::BitVector& key : keys) {
-            support::Rng stimulusRng{seed + 6};
-            (void)harness.outputCorruption(key, options, stimulusRng);
-          }
-        }
-        return elapsedMs(start) / (kKeys * kIterations);
-      });
-    }
+      }
+      return elapsedMs(start) / (kKeys * kIterations);
+    });
   }
   {
     // Sliced-attack row: the same batched sweep shape on an ASSURE-locked
@@ -415,7 +396,7 @@ void runPerf(std::vector<Row>& rows, std::uint64_t seed) {
     support::Rng lockRng{seed + 7};
     lock::assureRandomLock(
         engine, static_cast<int>(0.75 * engine.initialLockableOps()), lockRng);
-    sim::Harness harness{original, locked, sim::SimBackend::Sliced};
+    sim::Harness harness{original, locked};
     sim::EquivalenceOptions options;
     options.vectors = 4;
     options.cyclesPerVector = 4;
@@ -532,7 +513,7 @@ void runPerf(std::vector<Row>& rows, std::uint64_t seed) {
 // --- service: session-cache amortisation and serve throughput --------------
 //
 // The serve PR's headline: a warm SessionCache fetch skips the parse +
-// verify + two-backend compile + lint pipeline entirely, so repeated work
+// verify pipeline entirely, so repeated work
 // on the same design (CLI re-runs, service traffic) pays it once.  The
 // speedup row is the cold build cost over the warm fetch cost; the serve
 // smoke row drives the real daemon over loopback TCP end to end.
@@ -628,62 +609,43 @@ using support::jsonEscape;
 // --check=PATH re-reads a committed baseline JSON and compares every
 // non-`perf` row (the seed-deterministic quality values) against this run.
 // Quality rows are bit-identical across thread counts and machines, so any
-// drift is a real behaviour change — the CI job fails on it.  The parser
-// handles exactly the schema writeJson emits (one row object per line).
+// drift is a real behaviour change — the CI job fails on it.  Values are
+// compared as writeJson prints them (4 decimals).
 
-struct ParsedRow {
-  std::string bench;
-  std::string config;
-  std::string metric;
-  std::string value;  // formatted text, compared verbatim
-};
-
-std::string extractField(const std::string& line, const std::string& key, bool quoted) {
-  const std::string tag = "\"" + key + "\": ";
-  const std::size_t start = line.find(tag);
-  if (start == std::string::npos) throw support::Error("baseline row misses key " + key);
-  std::size_t begin = start + tag.size();
-  std::size_t end;
-  if (quoted) {
-    begin += 1;  // opening quote
-    end = line.find('"', begin);
-    while (end != std::string::npos && line[end - 1] == '\\') end = line.find('"', end + 1);
-  } else {
-    end = line.find_first_of(",}", begin);
-  }
-  if (end == std::string::npos) throw support::Error("malformed baseline row: " + line);
-  return line.substr(begin, end - begin);
+std::string qualityKey(const std::string& bench, const std::string& config,
+                       const std::string& metric) {
+  return bench + " | " + config + " | " + metric;
 }
 
-std::vector<ParsedRow> parseBaseline(const std::string& path) {
+/// The committed quality rows of the baseline at `path`, keyed by
+/// qualityKey and formatted like writeJson.
+std::map<std::string, std::string> committedQualityValues(const std::string& path) {
   std::ifstream file{path};
   if (!file) throw support::Error("cannot open committed baseline " + path);
-  std::vector<ParsedRow> rows;
-  std::string line;
-  while (std::getline(file, line)) {
-    if (line.find("\"bench\": ") == std::string::npos) continue;
-    rows.push_back(ParsedRow{extractField(line, "bench", true), extractField(line, "config", true),
-                             extractField(line, "metric", true),
-                             extractField(line, "value", false)});
-  }
+  std::ostringstream text;
+  text << file.rdbuf();
+  const support::JsonValue document = support::parseJson(text.str());
+  const support::JsonArray& rows = document.at("rows").asArray();
   if (rows.empty()) throw support::Error("no rows found in committed baseline " + path);
-  return rows;
+  std::map<std::string, std::string> values;
+  for (const support::JsonValue& row : rows) {
+    const std::string& bench = row.at("bench").asString();
+    if (bench == "perf") continue;  // timings are machine-dependent
+    values[qualityKey(bench, row.at("config").asString(), row.at("metric").asString())] =
+        support::formatDouble(row.at("value").asDouble(), 4);
+  }
+  return values;
 }
 
 /// Returns the number of drifting/missing quality rows (0 = gate passes).
 int checkAgainstBaseline(const std::vector<Row>& rows, const std::string& path) {
-  const std::vector<ParsedRow> committed = parseBaseline(path);
-  std::map<std::string, std::string> committedValues;
-  for (const ParsedRow& row : committed) {
-    if (row.bench == "perf") continue;  // timings are machine-dependent
-    committedValues[row.bench + " | " + row.config + " | " + row.metric] = row.value;
-  }
+  const std::map<std::string, std::string> committedValues = committedQualityValues(path);
 
   int failures = 0;
   std::map<std::string, std::string> currentValues;
   for (const Row& row : rows) {
     if (row.bench == "perf") continue;
-    currentValues[row.bench + " | " + row.config + " | " + row.metric] =
+    currentValues[qualityKey(row.bench, row.config, row.metric)] =
         support::formatDouble(row.value, 4);
   }
   for (const auto& [key, value] : committedValues) {

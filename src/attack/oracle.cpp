@@ -13,7 +13,7 @@ OracleAttackResult oracleGuidedAttack(const rtl::Module& oracle, const rtl::Modu
 
   // Compile both designs once; the hill climb then only streams hypothesis
   // keys and stimuli through the tapes (the attack's hot loop).
-  sim::Harness harness{oracle, locked, config.backend};
+  sim::Harness harness{oracle, locked};
 
   // Fixed stimulus seed: every corruption measurement uses identical inputs,
   // so hypothesis comparisons are exact rather than statistical.

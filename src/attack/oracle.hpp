@@ -10,6 +10,11 @@
 // lower corruption mass.  Operation locking has no SAT-style protection, so
 // the per-bit corruption signal is strong regardless of operation balance —
 // learning resilience does not imply oracle resilience.
+//
+// Every corruption measurement runs on one sim::Harness compiled once per
+// attack, which packs all `vectors` stimulus lanes of a measurement into one
+// bit-sliced tape pass.  `vectors` and, on clocked designs,
+// `cyclesPerVector` must be at least 1 (Harness contract).
 #pragma once
 
 #include "core/engine.hpp"
@@ -27,12 +32,6 @@ struct OracleAttackConfig {
   int vectors = 8;
   /// Must exceed the design's pipeline depth or deep bits stay unobservable.
   int cyclesPerVector = 24;
-  /// Simulator executing the corruption measurements.  The sliced default
-  /// packs all `vectors` stimulus lanes of a measurement into one tape pass;
-  /// Compiled is the scalar oracle for differential runs.  Both produce
-  /// bit-identical corruption values, so the recovered key never depends on
-  /// the backend.
-  sim::SimBackend backend = sim::SimBackend::Sliced;
 };
 
 struct OracleAttackResult {

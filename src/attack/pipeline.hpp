@@ -5,12 +5,16 @@
 //     (key budget = 75 % of the design's lockable operations);
 //   * run the SnapShot attack against every locked sample;
 //   * aggregate KPA statistics.
+//
+// The samples always run on a caller-supplied support::TaskPool: `rtlock
+// eval`/`work`, the serve daemon and the benches each size one pool by
+// their --threads and pass it in, so grid cells and their samples share the
+// same workers.
 #pragma once
 
 #include <string>
 
 #include "attack/snapshot.hpp"
-#include "sim/harness.hpp"
 #include "support/task_pool.hpp"
 
 namespace rtlock::attack {
@@ -22,18 +26,10 @@ struct EvaluationConfig {
   /// Off-by-default safety net: simulate each locked sample against the
   /// original under its correct key and count mismatching samples in
   /// EvaluationResult::functionalFailures.  Uses an independent fixed-seed
-  /// stimulus stream, so enabling it changes no KPA/metric output bit.
+  /// stimulus stream, so enabling it changes no KPA/metric output bit.  The
+  /// check runs on sim::Harness; the SnapShot attack itself is
+  /// structural/ML and never simulates.
   bool verifyFunctional = false;
-  /// Simulator backing the verifyFunctional equivalence checks.  The
-  /// SnapShot attack itself is structural/ML and never simulates.
-  sim::SimBackend simBackend = sim::SimBackend::Sliced;
-  /// Worker threads for the sample loop of the overload that makes its own
-  /// pool: 0 = hardware concurrency, 1 = serial reference path (no worker
-  /// threads).  Results are bit-identical at every thread count: sample i
-  /// always draws from `substream(i)` of a root forked once from the
-  /// caller's rng, and the per-sample outcomes are aggregated in sample
-  /// order.
-  int threads = 0;
 };
 
 struct EvaluationResult {
@@ -52,40 +48,33 @@ struct EvaluationResult {
   int functionalFailures = 0;
 };
 
-/// Evaluates `algorithm` on per-worker clones of `original`.  The sample
-/// loop is sharded across workers; each worker clones the module once and
-/// restores it between samples through the engine's undo path, and each
-/// sample owns an Rng substream.
+/// Evaluates `algorithm` on per-worker clones of `original`, fanning the
+/// locked samples out on `pool` (TaskPool::fanOut).  Each worker clones the
+/// module once and restores it between samples through the engine's undo
+/// path, and each sample owns an Rng substream.
 ///
 /// Contract -------------------------------------------------------------------
 /// Ownership: `original` and `table` are borrowed const for the duration of
 ///   the call and never mutated — all locking happens on private per-worker
 ///   clones that die with the call.
 /// Determinism: the result is a pure function of (original, algorithm,
-///   table, config minus threads, rng state); the worker count is proven not
-///   to change a single output bit (tests/integration/determinism_test.cpp).
-///   Per-sample outcomes are aggregated in sample order.  `rng` advances by
-///   exactly one draw per call regardless of thread or sample count.
+///   table, config, rng state); the pool size is proven not to change a
+///   single output bit (tests/integration/determinism_test.cpp).  Sample i
+///   always draws from `substream(i)` of a root forked once from the
+///   caller's rng, and per-sample outcomes are aggregated in sample order.
+///   `rng` advances by exactly one draw per call regardless of pool or
+///   sample count.
 /// Thread-safety: safe to call concurrently with distinct `rng` objects;
 ///   workers never share mutable state.  Do not share one Rng across
 ///   concurrent callers.
-/// Parallelism: this overload runs the samples on a local pool of
-///   `config.threads` workers (capped at config.testLocks).
-[[nodiscard]] EvaluationResult evaluateBenchmark(const rtl::Module& original,
-                                                 const std::string& benchmarkName,
-                                                 lock::Algorithm algorithm,
-                                                 const lock::PairTable& table,
-                                                 const EvaluationConfig& config,
-                                                 support::Rng& rng);
-
-/// The same evaluation with the samples fanned out on `pool`
-/// (TaskPool::fanOut) instead of a local pool; `config.threads` is ignored.
-/// Called from a task running on `pool` — a campaign grid cell — the calling
-/// worker runs the cell's samples itself while idle workers take the rest,
-/// so cells and samples share the pool's workers and never more than
-/// threadCount() samples run at once.  Every sample runs even when the pool
-/// is draining after requestStop(), so a started evaluation always finishes
-/// whole.  Results are bit-identical to the overload above.
+/// Parallelism: called from a task running on `pool` — a grid cell — the
+///   calling worker runs the cell's samples itself while idle workers take
+///   the rest, so cells and samples share the pool's workers and never more
+///   than threadCount() samples run at once.  Called from any other thread,
+///   the call blocks while the workers run the samples; a one-thread pool is
+///   the serial reference path.  Every sample runs even when the pool is
+///   draining after requestStop(), so a started evaluation always finishes
+///   whole.
 [[nodiscard]] EvaluationResult evaluateBenchmark(const rtl::Module& original,
                                                  const std::string& benchmarkName,
                                                  lock::Algorithm algorithm,

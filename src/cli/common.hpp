@@ -18,7 +18,6 @@
 #include "core/report.hpp"
 #include "rtl/module.hpp"
 #include "service/types.hpp"
-#include "sim/harness.hpp"
 #include "support/cli.hpp"
 #include "support/diagnostics.hpp"
 #include "support/json.hpp"
@@ -97,13 +96,6 @@ using service::parseBudget;
 /// wrapped or truncated value.
 [[nodiscard]] std::uint64_t u64Flag(const support::CliArgs& args, std::string_view name,
                                     std::uint64_t fallback);
-
-/// Simulation backend from its CLI spelling: "sliced" (64-lane bit-parallel,
-/// the default everywhere) or "compiled" (the scalar differential oracle).
-/// service::BadRequest otherwise.
-[[nodiscard]] inline sim::SimBackend simBackendFromFlag(const std::string& name) {
-  return service::simBackendFromName(name);
-}
 
 // ---- file I/O -------------------------------------------------------------
 

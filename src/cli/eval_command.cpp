@@ -24,8 +24,7 @@ int runEvalCommand(const std::vector<std::string>& args, CommandIo& io) {
   const support::CliArgs flags = parseFlags(
       args, {"algos", "seeds", "samples", "rounds", "budget", "folds", "module", "key-port",
              "threads", "extended-features", "report", "report-csv", "csv", "no-wall", "journal",
-             "keep-errors", "check", "check-cells", "retries", "deadline-ms", "sim-backend",
-             "verify-functional"});
+             "keep-errors", "check", "check-cells", "retries", "deadline-ms", "verify-functional"});
   const std::string inputPath = onePositional(flags, "input netlist (input.v)");
   const bool noWall = flags.getBool("no-wall", false);
 
@@ -48,7 +47,6 @@ int runEvalCommand(const std::vector<std::string>& args, CommandIo& io) {
   request.folds = static_cast<int>(folds);
   request.extendedFeatures = flags.getBool("extended-features", false);
   request.verifyFunctional = flags.getBool("verify-functional", false);
-  request.simBackend = simBackendFromFlag(flags.get("sim-backend", "sliced"));
   request.includeWall = !noWall;
 
   request.campaign.threads = support::requestedThreads(flags);

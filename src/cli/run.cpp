@@ -76,9 +76,6 @@ flags:
   --verify-functional    simulate each locked sample against the original
                          under its correct key; a mismatching sample fails
                          the cell (locking bug), KPA numbers are unchanged
-  --sim-backend=NAME     simulator for --verify-functional: sliced (64-lane
-                         bit-parallel, default) or compiled (scalar oracle);
-                         both are bit-identical
   --module=NAME          evaluate this module (default: the only module)
   --key-port=NAME        key input port name (default lock_key)
   --threads=N            workers (default: RTLOCK_THREADS env, else hardware)
@@ -121,7 +118,7 @@ flags:
   --max-wait-ms=N        give up when the whole fleet makes no progress for
                          this long (default: wait forever)
   eval grid flags        --algos --seeds --samples --rounds --budget --folds
-                         --extended-features --verify-functional --sim-backend
+                         --extended-features --verify-functional
                          --module --key-port --threads --retries --deadline-ms
                          --report --report-csv --no-wall --csv  (see rtlock eval;
                          every worker must pass the identical grid)
@@ -176,7 +173,7 @@ flags:
 constexpr const char* kServeUsage = R"(usage: rtlock serve [flags]
 
 Run the lock/attack/eval HTTP service.  One daemon holds a content-hash
-session cache of parsed+verified+compiled designs, so repeated requests
+session cache of parsed+verified designs, so repeated requests
 against the same netlist skip the whole front half of the pipeline; response
 bodies are bit-identical to the CLI's reports for the same inputs, warm or
 cold (docs/SERVING.md).

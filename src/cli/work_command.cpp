@@ -25,7 +25,7 @@ int runWorkCommand(const std::vector<std::string>& args, CommandIo& io) {
       args, {"manifest", "owner", "lease-ms", "poll-ms", "max-wait-ms", "journal", "algos",
              "seeds", "samples", "rounds", "budget", "folds", "module", "key-port", "threads",
              "extended-features", "report", "report-csv", "csv", "no-wall", "retries",
-             "deadline-ms", "sim-backend", "verify-functional"});
+             "deadline-ms", "verify-functional"});
   const std::string inputPath = onePositional(flags, "input netlist (input.v)");
   if (!flags.has("manifest")) throw UsageError{"--manifest=PATH is required (the shared manifest)"};
   const bool noWall = flags.getBool("no-wall", false);
@@ -57,7 +57,6 @@ int runWorkCommand(const std::vector<std::string>& args, CommandIo& io) {
   request.folds = static_cast<int>(folds);
   request.extendedFeatures = flags.getBool("extended-features", false);
   request.verifyFunctional = flags.getBool("verify-functional", false);
-  request.simBackend = simBackendFromFlag(flags.get("sim-backend", "sliced"));
   request.includeWall = !noWall;
 
   request.campaign.threads = support::requestedThreads(flags);

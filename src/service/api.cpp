@@ -439,7 +439,6 @@ EvalResponse runEval(SessionCache& cache, const EvalRequest& request) {
   config.snapshot.automl.folds = request.folds;
   config.snapshot.locality.extendedFeatures = request.extendedFeatures;
   config.verifyFunctional = request.verifyFunctional;
-  config.simBackend = request.simBackend;
 
   const SessionCache::FetchResult fetched = cache.fetch(request.source, request.session);
   const rtl::Module& original =
@@ -460,11 +459,10 @@ EvalResponse runEval(SessionCache& cache, const EvalRequest& request) {
   // Row identity.  The design hash covers everything that shapes the parsed
   // module (source text, selected module, key port); the config hash covers
   // every knob that changes a cell's numbers.  threads is deliberately
-  // absent from both: results are thread-invariant by construction.  So are
-  // simBackend (both backends are bit-identical, proved by
-  // HarnessBackendTest) and verifyFunctional (an independent fixed-seed
-  // check that perturbs no payload byte — it can only fail a cell).  The
-  // journal hash keeps the pre-service formula so existing journals resume.
+  // absent from both: results are thread-invariant by construction.  So is
+  // verifyFunctional (an independent fixed-seed check that perturbs no
+  // payload byte — it can only fail a cell).  The journal hash keeps the
+  // pre-service formula so existing journals resume.
   response.setup = "samples=" + std::to_string(config.testLocks) +
                    " rounds=" + std::to_string(config.snapshot.relockRounds) +
                    " budget=" + request.budget.describe();

@@ -122,7 +122,6 @@ struct EvalRequest {
   int folds = 3;
   bool extendedFeatures = false;
   bool verifyFunctional = false;
-  sim::SimBackend simBackend = sim::SimBackend::Sliced;
   campaign::CampaignOptions campaign;  // threads, retries, deadlines, faults
   bool includeWall = true;
   std::string journalPath;     // non-empty: checkpoint cells to this journal

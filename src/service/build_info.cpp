@@ -8,8 +8,8 @@ namespace rtlock::service {
 
 namespace {
 
-// Bumped by hand when the parser/verifier/compiler pipeline changes what a
-// compiled session contains for identical source text.
+// Bumped by hand when the parser/verifier pipeline changes what a session
+// contains for identical source text.
 constexpr int kEnginePipelineRevision = 1;
 
 }  // namespace

@@ -27,10 +27,10 @@ struct BuildInfo {
 /// `generator` value in report documents and the --version headline.
 [[nodiscard]] const std::string& generatorTag() noexcept;
 
-/// Parser/compiler pipeline tag mixed into every SessionCache content hash.
-/// Bump the embedded revision whenever parse/verify/compile output for the
-/// same source can change, so upgraded binaries rebuild rather than trusting
-/// artifacts keyed by an older pipeline.
+/// Parser pipeline tag mixed into every SessionCache content hash.  Bump the
+/// embedded revision whenever parse/verify output for the same source can
+/// change, so upgraded binaries rebuild rather than trusting sessions keyed
+/// by an older pipeline.
 [[nodiscard]] const std::string& engineVersionTag() noexcept;
 
 }  // namespace rtlock::service

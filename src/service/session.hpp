@@ -1,20 +1,20 @@
-// Reusable engine sessions: parse/verify/compile once, serve many.
+// Reusable engine sessions: parse/verify once, serve many.
 //
 // Every rtlock request is a pure function of (design content, seed, config),
-// yet each CLI invocation used to re-parse, re-verify and re-compile its
-// input from scratch.  A DesignSession captures that per-design setup work
-// as an immutable artifact — the parsed + verified design, both compiled
-// sim::Programs (scalar oracle and bit-sliced) per module, and the static
-// lint results — keyed by a content hash over the source text, the parser
-// options that shape the IR, and the engine pipeline version tag (so a
-// binary upgrade can never serve artifacts compiled by an older front end).
+// yet each CLI invocation used to re-parse and re-verify its input from
+// scratch.  A DesignSession captures that per-design setup work as an
+// immutable artifact — the parsed + verified design, and nothing that no
+// request reads (requests lock, attack, evaluate and lint clones of it) —
+// keyed by a content hash over the source text, the parser options that
+// shape the IR, and the engine pipeline version tag (so a binary upgrade can
+// never serve a design parsed by an older front end).
 //
 // SessionCache is the thread-safe LRU in front of session construction:
 //
 //  * fetch() either returns a pinned shared_ptr to a cached session (hit) or
 //    builds one (miss).  Concurrent fetches of the same content share one
 //    build — late arrivals wait on the first builder's future instead of
-//    duplicating parse/compile work.
+//    duplicating parse work.
 //  * entries are evicted least-recently-used once the byte budget is
 //    exceeded; shared_ptr pinning means an evicted session stays alive for
 //    every request still holding it, eviction only drops the cache's own
@@ -37,11 +37,8 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "analysis/lint.hpp"
 #include "rtl/module.hpp"
-#include "sim/program.hpp"
 #include "verilog/parser.hpp"
 
 namespace rtlock::service {
@@ -51,20 +48,13 @@ struct SessionOptions {
   std::string keyPortName = "lock_key";
 };
 
-/// Per-module compiled artifacts (parallel to DesignSession::design modules).
-struct ModuleArtifacts {
-  sim::Program scalar;         // offset-encoded tape for sim::CompiledSim
-  sim::Program sliced;         // slot-encoded tape for sim::SlicedSim
-  analysis::LintReport lint;   // static security lint (empty when unlocked)
-};
-
-/// Immutable parse/verify/compile artifact for one design text.  Sessions
-/// are shared across threads; nothing here is mutated after construction.
+/// Immutable parse/verify artifact for one design text.  Sessions are shared
+/// across threads; nothing here is mutated after construction.
 class DesignSession {
  public:
-  /// Builds a session: parse (verification is always-on in parseDesign),
-  /// compile both backends for every module, lint.  Throws support::Error on
-  /// malformed input, exactly like the direct parse path.
+  /// Builds a session: parse (verification is always-on in parseDesign).
+  /// Throws support::Error on malformed input, exactly like the direct parse
+  /// path.
   DesignSession(std::string hash, std::string_view source, const SessionOptions& options);
 
   DesignSession(const DesignSession&) = delete;
@@ -77,9 +67,6 @@ class DesignSession {
   [[nodiscard]] const rtl::Module& module(std::size_t index) const {
     return design_.module(index);
   }
-  [[nodiscard]] const ModuleArtifacts& artifacts(std::size_t index) const {
-    return artifacts_.at(index);
-  }
   /// Module lookup by name; nullptr when absent.
   [[nodiscard]] const rtl::Module* findModule(std::string_view name) const noexcept;
 
@@ -87,17 +74,15 @@ class DesignSession {
   /// selection preserved) — the unit of work for requests that lock.
   [[nodiscard]] rtl::Design cloneDesign() const;
 
-  /// Rough retained size in bytes (source + IR estimate + compiled tapes);
-  /// the SessionCache budget accounting unit.  An estimate, not an audit —
+  /// Rough retained size in bytes (source + IR estimate); the SessionCache
+  /// budget accounting unit.  An estimate, not an audit —
   /// stable for a given session, never zero.
   [[nodiscard]] std::size_t approxBytes() const noexcept { return approxBytes_; }
 
  private:
   std::string hash_;
   SessionOptions options_;
-  std::size_t sourceBytes_ = 0;
   rtl::Design design_;
-  std::vector<ModuleArtifacts> artifacts_;
   std::size_t approxBytes_ = 0;
 };
 

@@ -29,13 +29,6 @@ std::string algorithmName(lock::Algorithm algorithm) {
   RTLOCK_UNREACHABLE("algorithm");
 }
 
-sim::SimBackend simBackendFromName(const std::string& name) {
-  const std::string lowered = support::toLower(name);
-  if (lowered == "sliced") return sim::SimBackend::Sliced;
-  if (lowered == "compiled" || lowered == "scalar") return sim::SimBackend::Compiled;
-  throw BadRequest{"unknown sim backend '" + name + "' (expected sliced|compiled)"};
-}
-
 std::vector<lock::Algorithm> algorithmListFromNames(const std::string& text) {
   std::vector<lock::Algorithm> algorithms;
   for (const std::string& name : support::split(text, ',')) {

@@ -20,18 +20,11 @@ constexpr std::uint64_t laneMask(int lanes) noexcept {
 
 }  // namespace
 
-Harness::Harness(const Module& golden, const Module& candidate, SimBackend backend)
+Harness::Harness(const Module& golden, const Module& candidate, SimBackend /*backend*/)
     : goldenLocked_(golden.keyWidth() > 0),
       candidateLocked_(candidate.keyWidth() > 0),
-      backend_(backend) {
-  if (backend_ == SimBackend::Compiled) {
-    golden_.emplace(golden);
-    candidate_.emplace(candidate);
-  } else {
-    goldenSliced_.emplace(golden);
-    candidateSliced_.emplace(candidate);
-  }
-
+      golden_(golden),
+      candidate_(candidate) {
   // Single-clock designs: a clock is any signal driving a sequential process.
   std::optional<SignalId> goldenClock;
   for (const auto& process : golden.processes()) {
@@ -65,14 +58,10 @@ Harness::Harness(const Module& golden, const Module& candidate, SimBackend backe
   }
 }
 
-void Harness::beginVector(const BitVector& candidateKey, bool keyGolden) {
-  golden_->reset();
-  candidate_->reset();
-  if (candidateLocked_) candidate_->setKey(candidateKey);
-  if (keyGolden && goldenLocked_) {
-    // Comparing two locked modules: drive the golden one with the same key.
-    golden_->setKey(candidateKey);
-  }
+void Harness::requireComparable(const EquivalenceOptions& options) const {
+  RTLOCK_REQUIRE(options.vectors >= 1, "harness needs at least one stimulus vector");
+  RTLOCK_REQUIRE(!clock_.has_value() || options.cyclesPerVector >= 1,
+                 "harness needs at least one cycle per vector on a clocked design");
 }
 
 std::vector<std::vector<BitVector>> Harness::drawStimuli(const EquivalenceOptions& options,
@@ -91,64 +80,26 @@ std::vector<std::vector<BitVector>> Harness::drawStimuli(const EquivalenceOption
 std::optional<Mismatch> Harness::findMismatch(const BitVector& candidateKey,
                                               const EquivalenceOptions& options,
                                               support::Rng& rng) {
-  if (backend_ == SimBackend::Sliced) return findMismatchSliced(candidateKey, options, rng);
-  const bool sequential = clock_.has_value();
-
-  for (int vector = 0; vector < options.vectors; ++vector) {
-    beginVector(candidateKey, /*keyGolden=*/true);
-
-    const int cycles = sequential ? options.cyclesPerVector : 1;
-    for (int cycle = 0; cycle < cycles; ++cycle) {
-      for (const auto& pair : inputs_) {
-        const BitVector stimulus = BitVector::random(pair.width, rng);
-        golden_->setValue(pair.golden, stimulus);
-        candidate_->setValue(pair.candidate, stimulus);
-      }
-      golden_->settle();
-      candidate_->settle();
-
-      for (const auto& pair : outputs_) {
-        if (!(golden_->value(pair.golden) == candidate_->value(pair.candidate))) {
-          return Mismatch{pair.name, vector, cycle};
-        }
-      }
-
-      if (sequential) {
-        golden_->clockEdge(clock_->golden);
-        candidate_->clockEdge(clock_->candidate);
-        for (const auto& pair : outputs_) {
-          if (!(golden_->value(pair.golden) == candidate_->value(pair.candidate))) {
-            return Mismatch{pair.name, vector, cycle};
-          }
-        }
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<Mismatch> Harness::findMismatchSliced(const BitVector& candidateKey,
-                                                    const EquivalenceOptions& options,
-                                                    support::Rng& rng) {
+  requireComparable(options);
   const int cycles = clock_.has_value() ? options.cyclesPerVector : 1;
   std::vector<BitVector> laneValues;
 
   for (int base = 0; base < options.vectors; base += SlicedSim::kLanes) {
     const int active = std::min(SlicedSim::kLanes, options.vectors - base);
-    // Draw the chunk's stimuli before evaluating any of it, in the scalar
-    // order (vector -> cycle -> input) so both backends see the same values.
+    // Draw the chunk's stimuli before evaluating any of it, in the serial
+    // order (vector -> cycle -> input).
     EquivalenceOptions chunk = options;
     chunk.vectors = active;
     const auto stimuli = drawStimuli(chunk, rng);
 
-    goldenSliced_->reset();
-    candidateSliced_->reset();
-    if (candidateLocked_) candidateSliced_->setKey(candidateKey);
-    if (goldenLocked_) goldenSliced_->setKey(candidateKey);
+    golden_.reset();
+    candidate_.reset();
+    if (candidateLocked_) candidate_.setKey(candidateKey);
+    if (goldenLocked_) golden_.setKey(candidateKey);
 
     const std::uint64_t activeMask = laneMask(active);
-    // Per-lane first mismatch in (cycle, phase, output) order; the scalar
-    // backend would fully simulate vector v before looking at v+1, so the
+    // Per-lane first mismatch in (cycle, phase, output) order; a serial
+    // replay fully simulates vector v before looking at v+1, so the
     // reported hit is the LOWEST mismatching lane's own first hit.
     std::uint64_t found = 0;
     struct Hit {
@@ -160,8 +111,8 @@ std::optional<Mismatch> Harness::findMismatchSliced(const BitVector& candidateKe
     const auto sample = [&](int cycle) {
       for (std::size_t o = 0; o < outputs_.size(); ++o) {
         const PortPair& pair = outputs_[o];
-        const std::uint64_t* g = goldenSliced_->signalPlanes(pair.golden);
-        const std::uint64_t* c = candidateSliced_->signalPlanes(pair.candidate);
+        const std::uint64_t* g = golden_.signalPlanes(pair.golden);
+        const std::uint64_t* c = candidate_.signalPlanes(pair.candidate);
         std::uint64_t diff = 0;
         for (int b = 0; b < pair.width; ++b) diff |= g[b] ^ c[b];
         std::uint64_t fresh = diff & activeMask & ~found;
@@ -181,15 +132,15 @@ std::optional<Mismatch> Harness::findMismatchSliced(const BitVector& candidateKe
           laneValues.push_back(stimuli[static_cast<std::size_t>(lane)]
                                       [static_cast<std::size_t>(cycle) * inputs_.size() + i]);
         }
-        goldenSliced_->setLaneValues(inputs_[i].golden, laneValues);
-        candidateSliced_->setLaneValues(inputs_[i].candidate, laneValues);
+        golden_.setLaneValues(inputs_[i].golden, laneValues);
+        candidate_.setLaneValues(inputs_[i].candidate, laneValues);
       }
-      goldenSliced_->settle();
-      candidateSliced_->settle();
+      golden_.settle();
+      candidate_.settle();
       sample(cycle);
       if (clock_.has_value() && found != activeMask) {
-        goldenSliced_->clockEdge(clock_->golden);
-        candidateSliced_->clockEdge(clock_->candidate);
+        golden_.clockEdge(clock_->golden);
+        candidate_.clockEdge(clock_->candidate);
         sample(cycle);
       }
     }
@@ -205,45 +156,13 @@ std::optional<Mismatch> Harness::findMismatchSliced(const BitVector& candidateKe
 
 double Harness::outputCorruption(const BitVector& key, const EquivalenceOptions& options,
                                  support::Rng& rng) {
-  if (backend_ == SimBackend::Sliced) {
-    return outputCorruptionBatch(std::span<const BitVector>{&key, 1}, options, rng).front();
-  }
-  const bool sequential = clock_.has_value();
-
-  std::int64_t differingBits = 0;
-  std::int64_t totalBits = 0;
-
-  for (int vector = 0; vector < options.vectors; ++vector) {
-    // The golden module keeps its zero key: corruption is always measured
-    // against the unlocked behaviour, even if the golden design is locked.
-    beginVector(key, /*keyGolden=*/false);
-
-    const int cycles = sequential ? options.cyclesPerVector : 1;
-    for (int cycle = 0; cycle < cycles; ++cycle) {
-      for (const auto& pair : inputs_) {
-        const BitVector stimulus = BitVector::random(pair.width, rng);
-        golden_->setValue(pair.golden, stimulus);
-        candidate_->setValue(pair.candidate, stimulus);
-      }
-      golden_->settle();
-      candidate_->settle();
-      for (const auto& pair : outputs_) {
-        differingBits += BitVector::hammingDistance(golden_->value(pair.golden),
-                                                    candidate_->value(pair.candidate));
-        totalBits += pair.width;
-      }
-      if (sequential) {
-        golden_->clockEdge(clock_->golden);
-        candidate_->clockEdge(clock_->candidate);
-      }
-    }
-  }
-  return totalBits == 0 ? 0.0 : static_cast<double>(differingBits) / static_cast<double>(totalBits);
+  return outputCorruptionBatch(std::span<const BitVector>{&key, 1}, options, rng).front();
 }
 
 std::vector<double> Harness::outputCorruptionBatch(std::span<const BitVector> keys,
                                                    const EquivalenceOptions& options,
                                                    support::Rng& rng) {
+  requireComparable(options);
   if (keys.empty()) return {};
   const int cycles = clock_.has_value() ? options.cyclesPerVector : 1;
   const auto stimuli = drawStimuli(options, rng);
@@ -253,155 +172,127 @@ std::vector<double> Harness::outputCorruptionBatch(std::span<const BitVector> ke
   const std::int64_t totalBits = outputWidth * cycles * options.vectors;  // same per key
   std::vector<std::int64_t> differing(keys.size(), 0);
 
-  if (backend_ == SimBackend::Compiled) {
-    // Oracle path: replay the shared stimuli per key, one vector at a time.
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-      for (int vector = 0; vector < options.vectors; ++vector) {
-        beginVector(keys[k], /*keyGolden=*/false);
-        for (int cycle = 0; cycle < cycles; ++cycle) {
-          for (std::size_t i = 0; i < inputs_.size(); ++i) {
-            const BitVector& stimulus =
-                stimuli[static_cast<std::size_t>(vector)]
-                       [static_cast<std::size_t>(cycle) * inputs_.size() + i];
-            golden_->setValue(inputs_[i].golden, stimulus);
-            candidate_->setValue(inputs_[i].candidate, stimulus);
-          }
-          golden_->settle();
-          candidate_->settle();
-          for (const PortPair& pair : outputs_) {
-            differing[k] += BitVector::hammingDistance(golden_->value(pair.golden),
-                                                       candidate_->value(pair.candidate));
-          }
-          if (clock_.has_value()) {
-            golden_->clockEdge(clock_->golden);
-            candidate_->clockEdge(clock_->candidate);
-          }
+  // Lane L of a chunk starting at `base` is the (key, vector) pair number
+  // base+L in key-major order, so each key's lanes are one contiguous run
+  // per chunk and its popcounts use a single mask.
+  const std::int64_t vectors = options.vectors;
+  const std::int64_t lanesTotal = static_cast<std::int64_t>(keys.size()) * vectors;
+  struct KeySlice {
+    std::size_t key = 0;
+    std::uint64_t mask = 0;
+  };
+  std::vector<KeySlice> slices;
+  std::vector<BitVector> sliceKeys;
+  std::vector<std::uint64_t> sliceMasks;
+  std::vector<BitVector> laneValues;
+
+  // When the lane count is a multiple of the vector count, every chunk maps
+  // lane L to vector L % vectors — the same stimuli in the same lanes.  Two
+  // things then become chunk-invariant and are computed once: the packed
+  // per-lane stimulus arrays, and the golden sim's output planes (the
+  // golden half runs with the zero key regardless of the chunk's keys), so
+  // every chunk after the first costs only the candidate's tape passes.
+  const bool mapInvariant = (SlicedSim::kLanes % static_cast<int>(vectors)) == 0;
+  std::vector<std::vector<BitVector>> packedStimuli;
+  if (mapInvariant) {
+    const int lanes = static_cast<int>(std::min<std::int64_t>(SlicedSim::kLanes, lanesTotal));
+    packedStimuli.resize(static_cast<std::size_t>(cycles) * inputs_.size());
+    for (int cycle = 0; cycle < cycles; ++cycle) {
+      for (std::size_t i = 0; i < inputs_.size(); ++i) {
+        auto& packed = packedStimuli[static_cast<std::size_t>(cycle) * inputs_.size() + i];
+        packed.reserve(static_cast<std::size_t>(lanes));
+        for (int lane = 0; lane < lanes; ++lane) {
+          packed.push_back(stimuli[static_cast<std::size_t>(lane % vectors)]
+                                  [static_cast<std::size_t>(cycle) * inputs_.size() + i]);
         }
       }
     }
-  } else {
-    // Lane L of a chunk starting at `base` is the (key, vector) pair number
-    // base+L in key-major order, so each key's lanes are one contiguous run
-    // per chunk and its popcounts use a single mask.
-    const std::int64_t vectors = options.vectors;
-    const std::int64_t lanesTotal = static_cast<std::int64_t>(keys.size()) * vectors;
-    struct KeySlice {
-      std::size_t key = 0;
-      std::uint64_t mask = 0;
-    };
-    std::vector<KeySlice> slices;
-    std::vector<BitVector> sliceKeys;
-    std::vector<std::uint64_t> sliceMasks;
-    std::vector<BitVector> laneValues;
+  }
+  std::vector<std::uint64_t> goldenCache(
+      mapInvariant ? static_cast<std::size_t>(cycles) * static_cast<std::size_t>(outputWidth)
+                   : 0);
 
-    // When the lane count is a multiple of the vector count, every chunk maps
-    // lane L to vector L % vectors — the same stimuli in the same lanes.  Two
-    // things then become chunk-invariant and are computed once: the packed
-    // per-lane stimulus arrays, and the golden sim's output planes (the
-    // golden half runs with the zero key regardless of the chunk's keys), so
-    // every chunk after the first costs only the candidate's tape passes.
-    const bool mapInvariant = (SlicedSim::kLanes % static_cast<int>(vectors)) == 0;
-    std::vector<std::vector<BitVector>> packedStimuli;
-    if (mapInvariant) {
-      const int lanes = static_cast<int>(std::min<std::int64_t>(SlicedSim::kLanes, lanesTotal));
-      packedStimuli.resize(static_cast<std::size_t>(cycles) * inputs_.size());
-      for (int cycle = 0; cycle < cycles; ++cycle) {
-        for (std::size_t i = 0; i < inputs_.size(); ++i) {
-          auto& packed = packedStimuli[static_cast<std::size_t>(cycle) * inputs_.size() + i];
-          packed.reserve(static_cast<std::size_t>(lanes));
-          for (int lane = 0; lane < lanes; ++lane) {
-            packed.push_back(stimuli[static_cast<std::size_t>(lane % vectors)]
-                                    [static_cast<std::size_t>(cycle) * inputs_.size() + i]);
-          }
-        }
-      }
+  for (std::int64_t base = 0; base < lanesTotal; base += SlicedSim::kLanes) {
+    const int active =
+        static_cast<int>(std::min<std::int64_t>(SlicedSim::kLanes, lanesTotal - base));
+    slices.clear();
+    for (std::size_t k = static_cast<std::size_t>(base / vectors);
+         k <= static_cast<std::size_t>((base + active - 1) / vectors); ++k) {
+      const auto lo = std::max<std::int64_t>(static_cast<std::int64_t>(k) * vectors, base);
+      const auto hi =
+          std::min<std::int64_t>((static_cast<std::int64_t>(k) + 1) * vectors, base + active);
+      slices.push_back({k, laneMask(static_cast<int>(hi - base)) ^
+                               laneMask(static_cast<int>(lo - base))});
     }
-    std::vector<std::uint64_t> goldenCache(
-        mapInvariant ? static_cast<std::size_t>(cycles) * static_cast<std::size_t>(outputWidth)
-                     : 0);
+    const bool runGolden = !mapInvariant || base == 0;
 
-    for (std::int64_t base = 0; base < lanesTotal; base += SlicedSim::kLanes) {
-      const int active =
-          static_cast<int>(std::min<std::int64_t>(SlicedSim::kLanes, lanesTotal - base));
-      slices.clear();
-      for (std::size_t k = static_cast<std::size_t>(base / vectors);
-           k <= static_cast<std::size_t>((base + active - 1) / vectors); ++k) {
-        const auto lo = std::max<std::int64_t>(static_cast<std::int64_t>(k) * vectors, base);
-        const auto hi =
-            std::min<std::int64_t>((static_cast<std::int64_t>(k) + 1) * vectors, base + active);
-        slices.push_back({k, laneMask(static_cast<int>(hi - base)) ^
-                                 laneMask(static_cast<int>(lo - base))});
+    // Without a clock the tape never latches state: every slot a settle
+    // reads is rewritten by setLaneValues / setKeys / the tape itself, so
+    // later chunks can skip the full-arena reset.
+    const bool needReset = base == 0 || clock_.has_value();
+    if (runGolden && needReset) {
+      golden_.reset();  // golden keeps the zero key even when locked
+    }
+    if (needReset) candidate_.reset();
+    if (candidateLocked_) {
+      sliceKeys.clear();
+      sliceMasks.clear();
+      for (const KeySlice& slice : slices) {
+        sliceKeys.push_back(keys[slice.key]);
+        sliceMasks.push_back(slice.mask);
       }
-      const bool runGolden = !mapInvariant || base == 0;
+      candidate_.setKeys(sliceKeys, sliceMasks);
+    }
 
-      // Without a clock the tape never latches state: every slot a settle
-      // reads is rewritten by setLaneValues / setKeys / the tape itself, so
-      // later chunks can skip the full-arena reset.
-      const bool needReset = base == 0 || clock_.has_value();
-      if (runGolden && needReset) {
-        goldenSliced_->reset();  // golden keeps the zero key even when locked
+    for (int cycle = 0; cycle < cycles; ++cycle) {
+      for (std::size_t i = 0; i < inputs_.size(); ++i) {
+        if (mapInvariant) {
+          // A partial final chunk reuses the full packed arrays: lanes
+          // beyond `active` carry real stimuli but sit in no slice mask,
+          // so their results are never scored.
+          const auto& packed =
+              packedStimuli[static_cast<std::size_t>(cycle) * inputs_.size() + i];
+          if (runGolden) golden_.setLaneValues(inputs_[i].golden, packed);
+          candidate_.setLaneValues(inputs_[i].candidate, packed);
+          continue;
+        }
+        laneValues.clear();
+        for (int lane = 0; lane < active; ++lane) {
+          laneValues.push_back(stimuli[static_cast<std::size_t>((base + lane) % vectors)]
+                                      [static_cast<std::size_t>(cycle) * inputs_.size() + i]);
+        }
+        golden_.setLaneValues(inputs_[i].golden, laneValues);
+        candidate_.setLaneValues(inputs_[i].candidate, laneValues);
       }
-      if (needReset) candidateSliced_->reset();
-      if (candidateLocked_) {
-        sliceKeys.clear();
-        sliceMasks.clear();
-        for (const KeySlice& slice : slices) {
-          sliceKeys.push_back(keys[slice.key]);
-          sliceMasks.push_back(slice.mask);
+      if (runGolden) golden_.settle();
+      candidate_.settle();
+      std::uint64_t* cache =
+          mapInvariant
+              ? goldenCache.data() + static_cast<std::size_t>(cycle) *
+                                         static_cast<std::size_t>(outputWidth)
+              : nullptr;
+      std::int64_t cacheOffset = 0;
+      for (const PortPair& pair : outputs_) {
+        const std::uint64_t* g;
+        if (runGolden) {
+          g = golden_.signalPlanes(pair.golden);
+          if (mapInvariant) std::copy(g, g + pair.width, cache + cacheOffset);
+        } else {
+          g = cache + cacheOffset;
         }
-        candidateSliced_->setKeys(sliceKeys, sliceMasks);
+        cacheOffset += pair.width;
+        const std::uint64_t* c = candidate_.signalPlanes(pair.candidate);
+        for (int b = 0; b < pair.width; ++b) {
+          const std::uint64_t diff = g[b] ^ c[b];
+          if (diff == 0) continue;
+          for (const KeySlice& slice : slices) {
+            differing[slice.key] += std::popcount(diff & slice.mask);
+          }
+        }
       }
-
-      for (int cycle = 0; cycle < cycles; ++cycle) {
-        for (std::size_t i = 0; i < inputs_.size(); ++i) {
-          if (mapInvariant) {
-            // A partial final chunk reuses the full packed arrays: lanes
-            // beyond `active` carry real stimuli but sit in no slice mask,
-            // so their results are never scored.
-            const auto& packed =
-                packedStimuli[static_cast<std::size_t>(cycle) * inputs_.size() + i];
-            if (runGolden) goldenSliced_->setLaneValues(inputs_[i].golden, packed);
-            candidateSliced_->setLaneValues(inputs_[i].candidate, packed);
-            continue;
-          }
-          laneValues.clear();
-          for (int lane = 0; lane < active; ++lane) {
-            laneValues.push_back(stimuli[static_cast<std::size_t>((base + lane) % vectors)]
-                                        [static_cast<std::size_t>(cycle) * inputs_.size() + i]);
-          }
-          goldenSliced_->setLaneValues(inputs_[i].golden, laneValues);
-          candidateSliced_->setLaneValues(inputs_[i].candidate, laneValues);
-        }
-        if (runGolden) goldenSliced_->settle();
-        candidateSliced_->settle();
-        std::uint64_t* cache =
-            mapInvariant
-                ? goldenCache.data() + static_cast<std::size_t>(cycle) *
-                                           static_cast<std::size_t>(outputWidth)
-                : nullptr;
-        std::int64_t cacheOffset = 0;
-        for (const PortPair& pair : outputs_) {
-          const std::uint64_t* g;
-          if (runGolden) {
-            g = goldenSliced_->signalPlanes(pair.golden);
-            if (mapInvariant) std::copy(g, g + pair.width, cache + cacheOffset);
-          } else {
-            g = cache + cacheOffset;
-          }
-          cacheOffset += pair.width;
-          const std::uint64_t* c = candidateSliced_->signalPlanes(pair.candidate);
-          for (int b = 0; b < pair.width; ++b) {
-            const std::uint64_t diff = g[b] ^ c[b];
-            if (diff == 0) continue;
-            for (const KeySlice& slice : slices) {
-              differing[slice.key] += std::popcount(diff & slice.mask);
-            }
-          }
-        }
-        if (clock_.has_value()) {
-          if (runGolden) goldenSliced_->clockEdge(clock_->golden);
-          candidateSliced_->clockEdge(clock_->candidate);
-        }
+      if (clock_.has_value()) {
+        if (runGolden) golden_.clockEdge(clock_->golden);
+        candidate_.clockEdge(clock_->candidate);
       }
     }
   }

@@ -39,10 +39,11 @@ class CliArgs {
 
 /// Requested worker count for a tool invocation: the --threads flag wins,
 /// then the RTLOCK_THREADS environment override, then 0 ("hardware
-/// concurrency").  Feed the result to TaskPool / EvaluationConfig::threads,
-/// which resolve 0 via resolveThreadCount.  A malformed RTLOCK_THREADS fails
-/// loudly (same policy as CliArgs: typos must not silently run a default
-/// configuration).  Shared by the benches and the rtlock CLI.
+/// concurrency").  Feed the result to TaskPool (or a campaign's
+/// CampaignOptions::threads), which resolves 0 via resolveThreadCount.  A
+/// malformed RTLOCK_THREADS fails loudly (same policy as CliArgs: typos must
+/// not silently run a default configuration).  Shared by the benches and the
+/// rtlock CLI.
 [[nodiscard]] int requestedThreads(const CliArgs& args);
 
 /// Strict base-10 parse of the ENTIRE text as an unsigned 64-bit integer:

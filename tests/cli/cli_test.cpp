@@ -73,7 +73,17 @@ TEST(CliDispatchTest, MalformedFlagValuesFailUsage) {
   EXPECT_EQ(runCli({"attack", "in.v", "--folds=1"}).exitCode, cli::kExitUsage);
   EXPECT_EQ(runCli({"eval", "in.v", "--folds=1"}).exitCode, cli::kExitUsage);
   EXPECT_EQ(runCli({"eval", "in.v", "--seeds=bogus"}).exitCode, cli::kExitUsage);
-  EXPECT_EQ(runCli({"eval", "in.v", "--sim-backend=quantum"}).exitCode, cli::kExitUsage);
+}
+
+TEST(CliDispatchTest, RemovedSimBackendFlagIsUnknown) {
+  // The harness has one (bit-sliced) path, so neither eval nor work takes a
+  // simulator choice: --sim-backend is an unknown flag, a usage error.
+  for (const std::string command : {"eval", "work"}) {
+    const auto result = runCli({command, "in.v", "--sim-backend=compiled"});
+    EXPECT_EQ(result.exitCode, cli::kExitUsage) << command;
+    EXPECT_NE(result.err.find("--sim-backend"), std::string::npos)
+        << command << ": " << result.err;
+  }
 }
 
 TEST(CliDispatchTest, SeedsRejectTrailingJunkAndNegatives) {

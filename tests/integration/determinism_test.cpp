@@ -4,7 +4,7 @@
 // about the same numbers).
 //
 // Covered here:
-//  * evaluateBenchmark at threads 1 / 4 / hardware — byte-identical
+//  * evaluateBenchmark on pools of 1 / 4 / hardware workers — byte-identical
 //    EvaluationResult (every double compared by bit pattern, not epsilon);
 //  * the fig4 scenario grid sharded across pools of different sizes —
 //    identical observation streams;
@@ -49,20 +49,20 @@ void expectByteIdentical(const EvaluationResult& a, const EvaluationResult& b) {
   EXPECT_TRUE(bitEqual(a.meanRestrictedMetric, b.meanRestrictedMetric));
 }
 
-EvaluationConfig smallConfig(int threads) {
+EvaluationConfig smallConfig() {
   EvaluationConfig config;
   config.testLocks = 4;
   config.snapshot.relockRounds = 10;
   config.snapshot.automl.folds = 2;
-  config.threads = threads;
   return config;
 }
 
 EvaluationResult runEvaluation(lock::Algorithm algorithm, int threads, std::uint64_t seed) {
   support::Rng rng{seed};
+  support::TaskPool pool{threads};
   const auto original = designs::makePlusNetwork(40);
   return evaluateBenchmark(original, "plus40", algorithm, lock::PairTable::fixed(),
-                           smallConfig(threads), rng);
+                           smallConfig(), rng, pool);
 }
 
 TEST(DeterminismTest, EvaluateBenchmarkIsThreadCountInvariant) {
@@ -90,9 +90,10 @@ TEST(DeterminismTest, EvaluateBenchmarkAdvancesCallerRngByExactlyOneDraw) {
   // draws the samples consumed".
   support::Rng used{31};
   support::Rng witness{31};
+  support::TaskPool pool{2};
   const auto original = designs::makePlusNetwork(30);
   (void)evaluateBenchmark(original, "plus30", lock::Algorithm::AssureSerial,
-                          lock::PairTable::fixed(), smallConfig(2), used);
+                          lock::PairTable::fixed(), smallConfig(), used, pool);
   (void)witness();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(used(), witness());
 }
