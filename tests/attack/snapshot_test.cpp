@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "designs/networks.hpp"
+#include "designs/registry.hpp"
 
 namespace rtlock::attack {
 namespace {
@@ -94,6 +99,57 @@ TEST(SnapshotTest, KpaConsistentWithCounts) {
       snapshotAttack(sample.module, sample.records, lock::PairTable::fixed(), fastConfig(), rng);
   EXPECT_NEAR(result.kpa, 100.0 * result.correct / result.keyBits, 1e-9);
   EXPECT_LE(result.correct, result.keyBits);
+}
+
+/// Golden outputs of one paper-sized attack (1000 relock rounds at 75 %),
+/// recorded before the training set was dictionary-encoded.  Any change to
+/// training-set construction, folding, sampling or aggregation that is not
+/// bit-neutral moves at least one of these.
+struct GoldenAttack {
+  const char* design;
+  bool extendedFeatures;
+  const char* modelName;
+  std::uint64_t cvAccuracyBits;
+  std::size_t trainingRows;
+  const char* predictions;  // one '0'/'1' per target key bit
+};
+
+void expectGoldenAttack(const GoldenAttack& golden) {
+  auto sample = lockWith(lock::Algorithm::AssureRandom, designs::makeBenchmark(golden.design),
+                         0.75, 21);
+  SnapshotConfig config;
+  config.relockRounds = 1000;
+  config.relockBudgetFraction = 0.75;
+  config.locality.extendedFeatures = golden.extendedFeatures;
+  support::Rng rng{22};
+  const auto result =
+      snapshotAttack(sample.module, sample.records, lock::PairTable::fixed(), config, rng);
+  std::string predictions;
+  for (const int bit : result.predictions) predictions += bit == 1 ? '1' : '0';
+  EXPECT_EQ(result.modelName, golden.modelName) << golden.design;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.cvAccuracy), golden.cvAccuracyBits)
+      << golden.design << " cv " << result.cvAccuracy;
+  EXPECT_EQ(result.trainingRows, golden.trainingRows) << golden.design;
+  EXPECT_EQ(predictions, golden.predictions) << golden.design;
+}
+
+// SASC and MD5 exceed AutoMlConfig::maxTrainingRows (100k raw rows), so they
+// pin the sampled() path; FIR pins the 6-feature extended encoding.
+TEST(SnapshotGoldenTest, SascPaperSizedAttack) {
+  expectGoldenAttack({"SASC", false, "categorical-nb(alpha=1.000000)", 4603105940561306729ull,
+                      104986, "10001011110101100111111111010110100001001001110010"});
+}
+
+TEST(SnapshotGoldenTest, Md5PaperSizedAttack) {
+  expectGoldenAttack({"MD5", false, "histogram(smoothing=1.000000)", 4603235013726627165ull,
+                      204000,
+                      "0000000010010101100111110010100000000010100100101111010010111"
+                      "00011011010110000110010001010001000110001000110101010011"});
+}
+
+TEST(SnapshotGoldenTest, FirExtendedFeaturesPaperSizedAttack) {
+  expectGoldenAttack({"FIR", true, "tree(depth=6)", 4603671258749068679ull, 82000,
+                      "11010110010101101010100110100001100010101100100"});
 }
 
 }  // namespace
