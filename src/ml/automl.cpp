@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <optional>
+#include <string>
 
 #include "ml/baseline.hpp"
 #include "ml/forest.hpp"
@@ -43,19 +44,23 @@ AutoMlResult autoSelect(const Dataset& rawData, const AutoMlConfig& config, supp
 
   // Subsample raw rows first (folding must happen on raw rows: aggregating
   // duplicates before the split would make folds all-or-nothing per feature
-  // tuple and bias validation accuracy).  Folds are index views over the one
-  // backing matrix; each view is aggregated afterwards — lossless — so model
-  // fitting stays fast.  Under the cap, fold directly over the caller's data
-  // (sampled() would be a full flat copy and draws no randomness then).
+  // tuple and bias validation accuracy).  Each fold is aggregated afterwards
+  // — lossless — so model fitting stays fast.  Under the cap, fold directly
+  // over the caller's data (sampled() would be a full copy and draws no
+  // randomness then).
   std::optional<Dataset> sampledStorage;
   if (rawData.size() > config.maxTrainingRows) {
     sampledStorage.emplace(rawData.sampled(config.maxTrainingRows, rng));
   }
   const Dataset& data = sampledStorage.has_value() ? *sampledStorage : rawData;
+  if (data.size() < static_cast<std::size_t>(config.folds)) {
+    throw support::Error{"auto-ml needs at least as many training rows as folds: " +
+                         std::to_string(data.size()) + " row(s) for " +
+                         std::to_string(config.folds) + " folds leave a fold unscored"};
+  }
 
   // Single-pass fold construction: per-fold aggregated (train, validation)
-  // pairs plus the full aggregate for the final refit, row-for-row identical
-  // to aggregating kFold() views one by one.
+  // pairs plus the full aggregate for the final refit.
   KFoldAggregates aggregates = data.kFoldAggregated(config.folds, rng);
   const std::vector<std::pair<Dataset, Dataset>>& folds = aggregates.folds;
   std::size_t largestTrainFold = 0;

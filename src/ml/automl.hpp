@@ -27,7 +27,9 @@ struct AutoMlConfig {
   /// differ across machines; the default is far above what any experiment
   /// configuration consumes.
   std::size_t fitRowBudget = 50'000'000;
-  /// Rows are aggregated first; if still larger, subsampled to this cap.
+  /// Raw-row cap: a larger training set is uniformly subsampled to this
+  /// many raw rows (Dataset::sampled) before folding; each fold is
+  /// aggregated afterwards.
   std::size_t maxTrainingRows = 100000;
   /// Skip Slow-cost families (knn/mlp/forest, per Classifier::costClass)
   /// when the largest aggregated training fold exceeds this.
@@ -50,7 +52,10 @@ struct AutoMlResult {
 /// Builds the default candidate portfolio.
 [[nodiscard]] std::vector<std::unique_ptr<Classifier>> defaultPortfolio();
 
-/// Cross-validated model selection + final refit.
+/// Cross-validated model selection + final refit.  Throws support::Error
+/// when the (sampled) training set has fewer raw rows than `config.folds`:
+/// some fold would then have no validation row, and its score would be a
+/// number that was never measured.
 ///
 /// Contract -------------------------------------------------------------------
 /// Ownership: `data` is borrowed const (aggregated/subsampled views are

@@ -1,11 +1,44 @@
 #include "ml/dataset.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "support/diagnostics.hpp"
 
 namespace rtlock::ml {
+
+namespace {
+
+constexpr std::uint32_t kEmpty = UINT32_MAX;
+constexpr std::size_t kInitialSlots = 64;  // power of two; doubled past 1/4 full
+
+/// Word-wise mix over a tuple's exact double bit patterns.  Only equality
+/// (exact bytes) decides interning — the hash merely routes probes.  Small
+/// integer-valued doubles differ only in their high bits while the probe
+/// index is taken from the low bits, so a 64-bit finalizer (murmur3 fmix64)
+/// spreads every input bit over the whole word.
+[[nodiscard]] std::uint64_t hashTuple(RowView tuple) noexcept {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const double value : tuple) {
+    hash = (hash ^ std::bit_cast<std::uint64_t>(value)) * 0x9e3779b97f4a7c15ull;
+  }
+  hash ^= hash >> 33;
+  hash *= 0xff51afd7ed558ccdull;
+  hash ^= hash >> 33;
+  hash *= 0xc4ceb9fe1a85ec53ull;
+  return hash ^ (hash >> 33);
+}
+
+/// Exact bit-pattern equality of two equal-length tuples (-0.0 != 0.0).
+[[nodiscard]] bool sameBits(RowView a, RowView b) noexcept {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 Dataset::Dataset(int featureCount) : featureCount_(featureCount) {
   RTLOCK_REQUIRE(featureCount >= 1, "datasets need at least one feature");
@@ -16,25 +49,54 @@ void Dataset::add(RowView features, int label, double weight) {
                  "feature row arity mismatch");
   RTLOCK_REQUIRE(label == 0 || label == 1, "binary labels only");
   RTLOCK_REQUIRE(weight > 0.0, "weights must be positive");
-  const double* source = features.data();
-  if (values_.size() + features.size() > values_.capacity()) {
-    // Growth would invalidate `features` if it views this dataset's own
-    // matrix (e.g. d.add(d.row(i), ...)); re-anchor through the row offset.
-    const bool aliasesSelf =
-        source >= values_.data() && source < values_.data() + values_.size();
-    const std::size_t offset =
-        aliasesSelf ? static_cast<std::size_t>(source - values_.data()) : 0;
-    values_.reserve(std::max(values_.capacity() * 2, values_.size() + features.size()));
-    if (aliasesSelf) source = values_.data() + offset;
-  }
-  values_.insert(values_.end(), source, source + features.size());
-  labels_.push_back(label);
+  keys_.push_back(intern(features) << 1 | static_cast<std::uint32_t>(label));
   weights_.push_back(weight);
 }
 
+std::uint32_t Dataset::intern(RowView features) {
+  const std::uint64_t hash = hashTuple(features);
+  if (!slots_.empty()) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t slot = hash & mask; slots_[slot] != kEmpty; slot = (slot + 1) & mask) {
+      const std::uint32_t code = slots_[slot];
+      if (tupleHashes_[code] == hash && sameBits(tuple(code), features)) return code;
+    }
+  }
+  // A new tuple cannot alias this pool (every stored tuple was found above),
+  // so growing the pool here is safe for the caller's view.
+  const auto code = static_cast<std::uint32_t>(tupleHashes_.size());
+  RTLOCK_REQUIRE(code < (1u << 31), "too many distinct feature tuples");
+  tupleValues_.insert(tupleValues_.end(), features.begin(), features.end());
+  tupleHashes_.push_back(hash);
+  indexTuple(code);
+  return code;
+}
+
+void Dataset::indexTuple(std::uint32_t code) {
+  const auto place = [this](std::uint32_t c) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = tupleHashes_[c] & mask;
+    while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
+    slots_[slot] = c;
+  };
+  if (tupleHashes_.size() * 4 <= slots_.size()) {
+    place(code);
+    return;
+  }
+  slots_.assign(std::max(kInitialSlots, slots_.size() * 2), kEmpty);
+  for (std::uint32_t c = 0; c <= code; ++c) place(c);
+}
+
+Dataset Dataset::withPoolOnly() const {
+  Dataset result{featureCount_};
+  result.tupleValues_ = tupleValues_;
+  result.tupleHashes_ = tupleHashes_;
+  result.slots_ = slots_;
+  return result;
+}
+
 void Dataset::reserveRows(std::size_t rows) {
-  values_.reserve(values_.size() + rows * static_cast<std::size_t>(featureCount_));
-  labels_.reserve(labels_.size() + rows);
+  keys_.reserve(keys_.size() + rows);
   weights_.reserve(weights_.size() + rows);
 }
 
@@ -47,135 +109,83 @@ double Dataset::positiveFraction() const noexcept {
   double total = 0.0;
   for (std::size_t i = 0; i < size(); ++i) {
     total += weights_[i];
-    if (labels_[i] == 1) positive += weights_[i];
+    if (label(i) == 1) positive += weights_[i];
   }
   return total == 0.0 ? 0.0 : positive / total;
 }
 
-namespace {
-
-/// Word-wise mix over a row's exact double bit patterns plus the label.
-/// Only equality (exact bytes) affects aggregation results — the hash merely
-/// routes probes, so grouping, first-seen order and accumulated weights are
-/// identical to the historical string-key map regardless of this function.
-[[nodiscard]] std::uint64_t hashRow(RowView row, int label) noexcept {
-  auto mix = [](std::uint64_t h, std::uint64_t value) noexcept {
-    h ^= value + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return h * 0xff51afd7ed558ccdull;
-  };
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const double value : row) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &value, sizeof bits);
-    hash = mix(hash, bits);
-  }
-  return mix(hash, static_cast<std::uint64_t>(label));
-}
-
-[[nodiscard]] bool sameRow(RowView a, RowView b) noexcept {
-  return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-}  // namespace
-
-/// Open-addressing index from (features, label) to a result row, preserving
-/// first-seen order.  Aggregation runs several times per auto-ml call over
-/// ~10^5 raw rows — it has to be a flat probe table, not a node-based map
-/// with a string key per row.
+/// First-seen aggregation over (tuple code, label) keys.  The result shares
+/// the source's tuple pool, so a key carries over unchanged and a dense
+/// key -> result-row table replaces row hashing.
 class Dataset::Aggregator {
  public:
-  explicit Aggregator(int featureCount) : result_(featureCount) {}
+  explicit Aggregator(const Dataset& source)
+      : result_(source.withPoolOnly()), rowOfKey_(source.tupleHashes_.size() * 2, kEmpty) {}
 
-  void consume(RowView row, int label, double weight, std::uint64_t hash) {
-    std::size_t slot = static_cast<std::size_t>(hash) & (capacity_ - 1);
-    for (;;) {
-      const std::uint32_t candidate = slots_[slot];
-      if (candidate == UINT32_MAX) {
-        slots_[slot] = static_cast<std::uint32_t>(result_.size());
-        rowHashes_.push_back(hash);
-        result_.add(row, label, weight);
-        break;
-      }
-      if (rowHashes_[candidate] == hash && result_.labels_[candidate] == label &&
-          sameRow(result_.row(candidate), row)) {
-        result_.weights_[candidate] += weight;
-        break;
-      }
-      slot = (slot + 1) & (capacity_ - 1);
+  void consume(std::uint32_t key, double weight) {
+    std::uint32_t& row = rowOfKey_[key];
+    if (row == kEmpty) {
+      row = static_cast<std::uint32_t>(result_.keys_.size());
+      result_.keys_.push_back(key);
+      result_.weights_.push_back(weight);
+    } else {
+      result_.weights_[row] += weight;
     }
-    if (result_.size() * 2 >= capacity_) grow();
   }
 
   [[nodiscard]] Dataset take() && { return std::move(result_); }
 
  private:
-  void grow() {
-    capacity_ *= 2;
-    slots_.assign(capacity_, UINT32_MAX);
-    for (std::uint32_t r = 0; r < result_.size(); ++r) {
-      std::size_t slot = static_cast<std::size_t>(rowHashes_[r]) & (capacity_ - 1);
-      while (slots_[slot] != UINT32_MAX) slot = (slot + 1) & (capacity_ - 1);
-      slots_[slot] = r;
-    }
-  }
-
   Dataset result_;
-  std::size_t capacity_ = 64;  // power of two; grown when half full
-  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(64, UINT32_MAX);
-  std::vector<std::uint64_t> rowHashes_;  // per result row
+  std::vector<std::uint32_t> rowOfKey_;
 };
 
-template <typename Table>
-Dataset Dataset::aggregateOf(const Table& table) {
-  Aggregator aggregator{table.featureCount()};
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    const RowView row = table.row(i);
-    const int label = table.label(i);
-    aggregator.consume(row, label, table.weight(i), hashRow(row, label));
-  }
+Dataset Dataset::aggregated() const {
+  Aggregator aggregator{*this};
+  for (std::size_t i = 0; i < size(); ++i) aggregator.consume(keys_[i], weights_[i]);
   return std::move(aggregator).take();
 }
 
-Dataset Dataset::aggregated() const { return aggregateOf(*this); }
-
 KFoldAggregates Dataset::kFoldAggregated(int folds, support::Rng& rng) const {
   RTLOCK_REQUIRE(folds >= 2, "k-fold needs at least two folds");
-  std::vector<std::size_t> order(size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
+  RTLOCK_REQUIRE(size() <= UINT32_MAX, "k-fold supports at most 2^32 - 1 rows");
+  // Rng::shuffle's draws depend only on the length, so 32-bit positions give
+  // the same permutation as any wider index type.
+  std::vector<std::uint32_t> order(size());
+  std::iota(order.begin(), order.end(), 0u);
   rng.shuffle(order);
 
-  std::vector<int> foldOf(size());
+  const auto foldCount = static_cast<std::size_t>(folds);
+  std::vector<std::uint32_t> foldOf(size());
   for (std::size_t i = 0; i < order.size(); ++i) {
-    foldOf[order[i]] = static_cast<int>(i % static_cast<std::size_t>(folds));
+    foldOf[order[i]] = static_cast<std::uint32_t>(i % foldCount);
   }
 
-  // One streaming pass: row i (ascending, exactly the view order) feeds its
-  // own fold's validation aggregate, every other fold's train aggregate, and
-  // the whole-dataset aggregate; the row hash is computed once.
+  // One pass in ascending row order: row i feeds its own fold's validation
+  // aggregate, every other fold's train aggregate, and the whole-set one.
   std::vector<Aggregator> trains;
   std::vector<Aggregator> validations;
-  for (int fold = 0; fold < folds; ++fold) {
-    trains.emplace_back(featureCount_);
-    validations.emplace_back(featureCount_);
+  trains.reserve(foldCount);
+  validations.reserve(foldCount);
+  for (std::size_t fold = 0; fold < foldCount; ++fold) {
+    trains.emplace_back(*this);
+    validations.emplace_back(*this);
   }
-  Aggregator full{featureCount_};
+  Aggregator full{*this};
   for (std::size_t i = 0; i < size(); ++i) {
-    const RowView r = row(i);
-    const int label = labels_[i];
+    const std::uint32_t key = keys_[i];
     const double w = weights_[i];
-    const std::uint64_t hash = hashRow(r, label);
-    for (int fold = 0; fold < folds; ++fold) {
-      (foldOf[i] == fold ? validations : trains)[static_cast<std::size_t>(fold)].consume(
-          r, label, w, hash);
+    for (std::size_t fold = 0; fold < foldCount; ++fold) {
+      (foldOf[i] == fold ? validations : trains)[fold].consume(key, w);
     }
-    full.consume(r, label, w, hash);
+    full.consume(key, w);
   }
 
   KFoldAggregates result;
-  result.folds.reserve(static_cast<std::size_t>(folds));
-  for (int fold = 0; fold < folds; ++fold) {
-    result.folds.emplace_back(std::move(trains[static_cast<std::size_t>(fold)]).take(),
-                              std::move(validations[static_cast<std::size_t>(fold)]).take());
+  result.folds.reserve(foldCount);
+  for (std::size_t fold = 0; fold < foldCount; ++fold) {
+    result.folds.emplace_back(std::move(trains[fold]).take(),
+                              std::move(validations[fold]).take());
   }
   result.all = std::move(full).take();
   return result;
@@ -183,78 +193,14 @@ KFoldAggregates Dataset::kFoldAggregated(int folds, support::Rng& rng) const {
 
 Dataset Dataset::sampled(std::size_t maxRows, support::Rng& rng) const {
   if (size() <= maxRows) return *this;
-  Dataset result{featureCount_};
+  Dataset result = withPoolOnly();
   result.reserveRows(maxRows);
-  // Uniform row sample with weight rescaling keeps the total mass unbiased.
   const auto indices = rng.sampleIndices(size(), maxRows);
   const double scale = static_cast<double>(size()) / static_cast<double>(maxRows);
   for (const std::size_t i : indices) {
-    result.add(row(i), labels_[i], weights_[i] * scale);
+    result.keys_.push_back(keys_[i]);
+    result.weights_.push_back(weights_[i] * scale);
   }
-  return result;
-}
-
-std::pair<Dataset, Dataset> Dataset::split(double trainFraction, support::Rng& rng) const {
-  RTLOCK_REQUIRE(trainFraction > 0.0 && trainFraction < 1.0,
-                 "train fraction must lie strictly between 0 and 1");
-  Dataset train{featureCount_};
-  Dataset test{featureCount_};
-  for (std::size_t i = 0; i < size(); ++i) {
-    (rng.chance(trainFraction) ? train : test).add(row(i), labels_[i], weights_[i]);
-  }
-  return {std::move(train), std::move(test)};
-}
-
-std::vector<std::pair<DatasetView, DatasetView>> Dataset::kFold(int folds,
-                                                                support::Rng& rng) const {
-  RTLOCK_REQUIRE(folds >= 2, "k-fold needs at least two folds");
-  std::vector<std::size_t> order(size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  rng.shuffle(order);
-
-  std::vector<int> foldOf(size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    foldOf[order[i]] = static_cast<int>(i % static_cast<std::size_t>(folds));
-  }
-
-  std::vector<std::pair<DatasetView, DatasetView>> result;
-  result.reserve(static_cast<std::size_t>(folds));
-  for (int fold = 0; fold < folds; ++fold) {
-    std::vector<std::uint32_t> train;
-    std::vector<std::uint32_t> validation;
-    train.reserve(size());
-    validation.reserve(size() / static_cast<std::size_t>(folds) + 1);
-    for (std::size_t i = 0; i < size(); ++i) {
-      (foldOf[i] == fold ? validation : train).push_back(static_cast<std::uint32_t>(i));
-    }
-    result.emplace_back(DatasetView{*this, std::move(train)},
-                        DatasetView{*this, std::move(validation)});
-  }
-  return result;
-}
-
-double DatasetView::totalWeight() const noexcept {
-  double total = 0.0;
-  for (const std::uint32_t r : rows_) total += base_->weights_[r];
-  return total;
-}
-
-double DatasetView::positiveFraction() const noexcept {
-  double positive = 0.0;
-  double total = 0.0;
-  for (const std::uint32_t r : rows_) {
-    total += base_->weights_[r];
-    if (base_->labels_[r] == 1) positive += base_->weights_[r];
-  }
-  return total == 0.0 ? 0.0 : positive / total;
-}
-
-Dataset DatasetView::aggregated() const { return Dataset::aggregateOf(*this); }
-
-Dataset DatasetView::materialized() const {
-  Dataset result{featureCount()};
-  result.reserveRows(size());
-  for (std::size_t i = 0; i < size(); ++i) result.add(row(i), label(i), weight(i));
   return result;
 }
 

@@ -1,16 +1,14 @@
-// Weighted tabular dataset for binary classification — flat data plane.
+// Weighted tabular dataset for binary classification — dictionary-encoded.
 //
-// SnapShot localities are tiny categorical tuples that repeat millions of
-// times across relocking rounds, so the dataset supports instance weights and
-// lossless aggregation of duplicate rows — a 10^6-row training set typically
-// collapses to a few hundred weighted rows.
-//
-// Storage is one contiguous row-major matrix (size() * featureCount()
-// doubles) plus parallel label/weight columns: appending a row never
-// allocates per row (amortized growth only), and rows are read through
-// span-style views.  Cross-validation folds are DatasetView index views over
-// the one backing matrix instead of deep-copied Datasets; see
-// src/ml/README.md for the layout and ownership rules.
+// SnapShot localities are tiny categorical tuples that repeat across relock
+// rounds: 1000 rounds give 45k–204k rows but only tens of distinct
+// (features, label) tuples.  So the dataset stores every distinct feature
+// tuple once, in a tuple pool interned on add() (exact double bit patterns:
+// -0.0 and 0.0 are distinct tuples), and every row as one 32-bit key —
+// tuple code * 2 + label — plus its weight.  row(i) is a view into the pool.
+// aggregated(), sampled() and kFoldAggregated() work on the integer keys
+// through dense first-seen tables instead of hashing rows; see
+// src/ml/README.md for the layout and the view-invalidation rule.
 #pragma once
 
 #include <cstdint>
@@ -23,36 +21,38 @@
 
 namespace rtlock::ml {
 
-/// Borrowed, contiguous view of one feature row.
+/// Borrowed view of one feature tuple.  Valid until a new distinct tuple is
+/// added to the dataset it views (the pool may grow then).
 using RowView = std::span<const double>;
 
 /// Owning row type for call sites that build feature vectors incrementally.
 using FeatureRow = std::vector<double>;
 
-class DatasetView;
 struct KFoldAggregates;
 
 class Dataset {
  public:
   explicit Dataset(int featureCount);
 
+  /// Appends one row, interning its feature tuple.  `features` may view this
+  /// dataset's own pool (d.add(d.row(i), ...)): an existing tuple is found,
+  /// never re-stored.
   void add(RowView features, int label, double weight = 1.0);
   void add(std::initializer_list<double> features, int label, double weight = 1.0) {
     add(RowView{features.begin(), features.size()}, label, weight);
   }
 
-  /// Pre-grows the backing storage for `rows` additional rows.
+  /// Pre-grows the per-row storage for `rows` additional rows.
   void reserveRows(std::size_t rows);
 
   [[nodiscard]] int featureCount() const noexcept { return featureCount_; }
-  [[nodiscard]] std::size_t size() const noexcept { return labels_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return labels_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return keys_.empty(); }
 
-  [[nodiscard]] RowView row(std::size_t index) const noexcept {
-    return RowView{values_.data() + index * static_cast<std::size_t>(featureCount_),
-                   static_cast<std::size_t>(featureCount_)};
+  [[nodiscard]] RowView row(std::size_t index) const noexcept { return tuple(keys_[index] >> 1); }
+  [[nodiscard]] int label(std::size_t index) const noexcept {
+    return static_cast<int>(keys_[index] & 1u);
   }
-  [[nodiscard]] int label(std::size_t index) const noexcept { return labels_[index]; }
   [[nodiscard]] double weight(std::size_t index) const noexcept { return weights_[index]; }
 
   [[nodiscard]] double totalWeight() const noexcept;
@@ -63,41 +63,37 @@ class Dataset {
   /// accumulated weight.  Order is deterministic (first-seen order).
   [[nodiscard]] Dataset aggregated() const;
 
-  /// Weighted random subsample of at most `maxRows` rows (weights carried
-  /// over; aggregation-friendly).  Returns a copy of *this if small enough.
+  /// Uniform random subsample of `maxRows` rows, weights scaled by
+  /// size() / maxRows so the total mass stays unbiased.  Returns a copy of
+  /// *this (and draws nothing) if it has at most `maxRows` rows.
   [[nodiscard]] Dataset sampled(std::size_t maxRows, support::Rng& rng) const;
 
-  /// Random split into train/test by row (weights preserved).
-  [[nodiscard]] std::pair<Dataset, Dataset> split(double trainFraction, support::Rng& rng) const;
-
-  /// k-fold partition as (train, validation) index views over *this*.  The
-  /// views borrow this dataset and must not outlive it.  Fold membership is
-  /// identical to the historical deep-copy semantics: one shuffle of the row
-  /// order, row i lands in fold (shuffled position % folds), and every view
-  /// lists its rows in ascending original-row order.
-  [[nodiscard]] std::vector<std::pair<DatasetView, DatasetView>> kFold(int folds,
-                                                                       support::Rng& rng) const;
-
-  /// kFold() composed with aggregation, in a single pass over the matrix:
-  /// per fold the aggregated (train, validation) pair, plus the aggregate of
-  /// the whole dataset (`all`) from the same scan.  Row-for-row identical to
-  /// aggregating each kFold() view and calling aggregated() separately —
-  /// same shuffle, same first-seen order — just one streaming pass instead
-  /// of four (the auto-ml fast path).
+  /// k-fold partition composed with aggregation: per fold the aggregated
+  /// (train, validation) pair, plus the aggregate of the whole dataset
+  /// (`all`).  Fold membership: one rng.shuffle of the row positions, row i
+  /// lands in fold (shuffled position % folds).  Each aggregate lists its
+  /// (features, label) tuples in first-seen ascending-row order and sums
+  /// weights in ascending row order.
   [[nodiscard]] KFoldAggregates kFoldAggregated(int folds, support::Rng& rng) const;
 
  private:
-  friend class DatasetView;
   class Aggregator;
 
-  /// Shared aggregation over anything with featureCount/size/row/label/weight.
-  template <typename Table>
-  [[nodiscard]] static Dataset aggregateOf(const Table& table);
+  [[nodiscard]] RowView tuple(std::uint32_t code) const noexcept {
+    return RowView{tupleValues_.data() + code * static_cast<std::size_t>(featureCount_),
+                   static_cast<std::size_t>(featureCount_)};
+  }
+  [[nodiscard]] std::uint32_t intern(RowView features);
+  void indexTuple(std::uint32_t code);
+  /// Same width and tuple pool (so keys carry over unchanged), no rows.
+  [[nodiscard]] Dataset withPoolOnly() const;
 
   int featureCount_;
-  std::vector<double> values_;  // row-major, size() * featureCount_
-  std::vector<int> labels_;
-  std::vector<double> weights_;
+  std::vector<double> tupleValues_;         // distinct tuples, row-major, code order
+  std::vector<std::uint64_t> tupleHashes_;  // per tuple code
+  std::vector<std::uint32_t> slots_;        // open-addressing index: tuple code or empty
+  std::vector<std::uint32_t> keys_;         // per row: tuple code << 1 | label
+  std::vector<double> weights_;             // per row
 };
 
 /// Result bundle of Dataset::kFoldAggregated.
@@ -106,44 +102,6 @@ struct KFoldAggregates {
   std::vector<std::pair<Dataset, Dataset>> folds;
   /// Aggregate of the entire dataset (the final-refit training set).
   Dataset all{1};
-};
-
-/// Non-owning subset of a Dataset's rows (the fold-view type).  Holds the
-/// row indices it exposes; the backing Dataset must outlive every view.
-class DatasetView {
- public:
-  DatasetView(const Dataset& base, std::vector<std::uint32_t> rows)
-      : base_(&base), rows_(std::move(rows)) {}
-
-  [[nodiscard]] int featureCount() const noexcept { return base_->featureCount(); }
-  [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return rows_.empty(); }
-
-  [[nodiscard]] RowView row(std::size_t index) const noexcept {
-    return base_->row(rows_[index]);
-  }
-  [[nodiscard]] int label(std::size_t index) const noexcept {
-    return base_->label(rows_[index]);
-  }
-  [[nodiscard]] double weight(std::size_t index) const noexcept {
-    return base_->weight(rows_[index]);
-  }
-
-  [[nodiscard]] double totalWeight() const noexcept;
-  [[nodiscard]] double positiveFraction() const noexcept;
-
-  /// Backing-row indices, in exposure order.
-  [[nodiscard]] const std::vector<std::uint32_t>& indices() const noexcept { return rows_; }
-
-  /// Lossless duplicate merge (first-seen order), as Dataset::aggregated().
-  [[nodiscard]] Dataset aggregated() const;
-
-  /// Deep copy of the viewed rows into a standalone Dataset.
-  [[nodiscard]] Dataset materialized() const;
-
- private:
-  const Dataset* base_;
-  std::vector<std::uint32_t> rows_;
 };
 
 }  // namespace rtlock::ml

@@ -22,8 +22,8 @@ void RandomForest::fit(const Dataset& data, support::Rng& rng) {
   treeHyper.featureSubset = subset;
 
   for (int t = 0; t < hyper_.trees; ++t) {
-    // Bootstrap by row (weights carried over): classic bagging.  Rows copy
-    // flat-matrix to flat-matrix — no per-row vector churn.
+    // Bootstrap by row (weights carried over): classic bagging.  Each row
+    // re-interns its tuple — no per-row vector churn.
     Dataset bootstrap{data.featureCount()};
     bootstrap.reserveRows(data.size());
     for (std::size_t i = 0; i < data.size(); ++i) {

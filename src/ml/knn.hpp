@@ -26,7 +26,7 @@ class KnnClassifier final : public Classifier {
   [[nodiscard]] double probaOf(RowView features) const override;
 
   Hyper hyper_;
-  /// Aggregated + capped training rows, stored flat.
+  /// Aggregated + capped training rows.
   Dataset stored_{1};
   bool fitted_ = false;
   /// Per-prediction distance scratch (predictions are not thread-safe; see

@@ -2,10 +2,7 @@
 
 namespace rtlock::ml {
 
-namespace {
-
-template <typename Table>
-[[nodiscard]] double accuracyOn(const Classifier& model, const Table& data) {
+double accuracy(const Classifier& model, const Dataset& data) {
   if (data.empty()) return 0.0;
   double correct = 0.0;
   double total = 0.0;
@@ -14,14 +11,6 @@ template <typename Table>
     if (model.predict(data.row(i)) == data.label(i)) correct += data.weight(i);
   }
   return total == 0.0 ? 0.0 : correct / total;
-}
-
-}  // namespace
-
-double accuracy(const Classifier& model, const Dataset& data) { return accuracyOn(model, data); }
-
-double accuracy(const Classifier& model, const DatasetView& data) {
-  return accuracyOn(model, data);
 }
 
 }  // namespace rtlock::ml

@@ -61,6 +61,5 @@ class Classifier {
 
 /// Weighted accuracy of a fitted model on a dataset.
 [[nodiscard]] double accuracy(const Classifier& model, const Dataset& data);
-[[nodiscard]] double accuracy(const Classifier& model, const DatasetView& data);
 
 }  // namespace rtlock::ml

@@ -130,6 +130,23 @@ TEST(CliDispatchTest, MalformedVerilogIsRuntimeErrorWithLocation) {
   EXPECT_NE(result.err.find("line"), std::string::npos);
 }
 
+TEST(CliDispatchTest, FewerTrainingRowsThanFoldsIsRuntimeError) {
+  // One relock round at a 1 % budget yields one training row: with three
+  // folds two of them would have no validation row, so no CV accuracy can
+  // be measured and the attack must fail instead of reporting "cv 0.0%".
+  const std::string lockedPath = ::testing::TempDir() + "cli_alu8.locked.v";
+  const std::string keyPath = ::testing::TempDir() + "cli_alu8.key.json";
+  ASSERT_EQ(runCli({"lock", std::string{RTLOCK_EXAMPLES_DIR} + "/external/alu8.v",
+                    "--budget=2", "--seed=3", "--out=" + lockedPath, "--key-out=" + keyPath})
+                .exitCode,
+            cli::kExitOk);
+  const auto result = runCli({"attack", lockedPath, "--key=" + keyPath, "--rounds=1",
+                              "--relock-budget=1%", "--folds=3"});
+  EXPECT_EQ(result.exitCode, cli::kExitError);
+  EXPECT_NE(result.err.find("1 row(s) for 3 folds"), std::string::npos) << result.err;
+  EXPECT_EQ(result.out.find("cv_accuracy"), std::string::npos) << result.out;
+}
+
 TEST(CliDesignsTest, ListsAllRegistryDesigns) {
   const auto result = runCli({"designs"});
   ASSERT_EQ(result.exitCode, cli::kExitOk);

@@ -62,6 +62,18 @@ TEST(CliEvalCampaignTest, InjectedThrowFaultExitsPartial) {
   EXPECT_NE(result.out.find("mean_kpa_percent"), std::string::npos);
 }
 
+TEST(CliEvalCampaignTest, FewerTrainingRowsThanFoldsIsAnErrorCell) {
+  // One relock round of alu8 yields 17 training rows, fewer than 1000
+  // folds: the cell fails with the row/fold counts instead of reporting an
+  // accuracy no fold measured.
+  const auto result = runCli({"eval", kAlu8, "--algos=serial", "--seeds=1", "--samples=1",
+                              "--rounds=1", "--folds=1000", "--no-wall", "--retries=0"});
+  EXPECT_EQ(result.exitCode, cli::kExitPartial);
+  EXPECT_NE(result.err.find("partial campaign: 1 error cell(s)"), std::string::npos)
+      << result.err;
+  EXPECT_NE(result.err.find("for 1000 folds"), std::string::npos) << result.err;
+}
+
 TEST(CliEvalCampaignTest, InjectedHangExitsPartialAsTimeout) {
   const ScopedFaultEnv fault{"cell:0:hang"};
   const auto result = runCli(evalArgs({"--deadline-ms=100"}));

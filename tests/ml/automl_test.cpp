@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace rtlock::ml {
 namespace {
 
@@ -55,6 +57,37 @@ TEST(AutoMlTest, EmptyDatasetRejected) {
   support::Rng rng{4};
   const Dataset empty{2};
   EXPECT_THROW((void)autoSelect(empty, {}, rng), support::ContractViolation);
+}
+
+TEST(AutoMlTest, FewerRowsThanFoldsIsAnError) {
+  // A fold without a validation row is never scored, so a CV accuracy over
+  // such folds would be a number nobody measured.
+  support::Rng rng{6};
+  Dataset data{2};
+  data.add({0.0, 1.0}, 0);
+  data.add({1.0, 1.0}, 1);
+  AutoMlConfig config;
+  config.folds = 3;
+  try {
+    (void)autoSelect(data, config, rng);
+    FAIL() << "expected support::Error";
+  } catch (const support::Error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("2 row(s)"), std::string::npos) << what;
+    EXPECT_NE(what.find("3 folds"), std::string::npos) << what;
+  }
+  data.add({0.0, 0.0}, 0);  // one validation row per fold: every fold scored
+  EXPECT_NO_THROW((void)autoSelect(data, config, rng));
+}
+
+TEST(AutoMlTest, FewerSampledRowsThanFoldsIsAnError) {
+  // The check applies to the raw rows actually folded, after sampling.
+  support::Rng rng{7};
+  const Dataset data = localityLikeData(rng, 50, 0.9);
+  AutoMlConfig config;
+  config.folds = 3;
+  config.maxTrainingRows = 2;
+  EXPECT_THROW((void)autoSelect(data, config, rng), support::Error);
 }
 
 TEST(AutoMlTest, RowBudgetStopsSearchEarly) {

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <numeric>
+#include <cmath>
 
+#include "flat_dataset.hpp"
 #include "support/diagnostics.hpp"
 
 namespace rtlock::ml {
@@ -60,160 +60,94 @@ TEST(DatasetTest, SamplingCapsRowsAndPreservesMass) {
   EXPECT_EQ(untouched.size(), 1000u);
 }
 
-TEST(DatasetTest, SplitPartitionsRows) {
-  support::Rng rng{2};
-  Dataset data{1};
-  for (int i = 0; i < 1000; ++i) data.add({static_cast<double>(i)}, i % 2);
-  const auto [train, test] = data.split(0.8, rng);
-  EXPECT_EQ(train.size() + test.size(), 1000u);
-  EXPECT_NEAR(static_cast<double>(train.size()), 800.0, 60.0);
-}
-
-TEST(DatasetTest, KFoldCoversEveryRowExactlyOnce) {
+TEST(DatasetTest, KFoldAggregatedCoversEveryRowExactlyOnce) {
   support::Rng rng{3};
   Dataset data{1};
   for (int i = 0; i < 100; ++i) data.add({static_cast<double>(i)}, i % 2);
-  const auto folds = data.kFold(5, rng);
-  ASSERT_EQ(folds.size(), 5u);
+  const KFoldAggregates folds = data.kFoldAggregated(5, rng);
+  ASSERT_EQ(folds.folds.size(), 5u);
   std::size_t validationTotal = 0;
-  for (const auto& [train, validation] : folds) {
+  for (const auto& [train, validation] : folds.folds) {
     EXPECT_EQ(train.size() + validation.size(), 100u);
     validationTotal += validation.size();
   }
   EXPECT_EQ(validationTotal, 100u);
+  EXPECT_EQ(folds.all.size(), 100u);
 }
 
-TEST(DatasetTest, KFoldNeedsTwoFolds) {
+TEST(DatasetTest, KFoldAggregatedNeedsTwoFolds) {
   support::Rng rng{4};
-  EXPECT_THROW((void)sample().kFold(1, rng), support::ContractViolation);
+  EXPECT_THROW((void)sample().kFoldAggregated(1, rng), support::ContractViolation);
 }
 
-TEST(DatasetTest, RowViewsExposeTheFlatMatrix) {
-  const Dataset data = sample();
-  const RowView row0 = data.row(0);
-  ASSERT_EQ(row0.size(), 2u);
-  EXPECT_DOUBLE_EQ(row0[0], 1.0);
-  EXPECT_DOUBLE_EQ(row0[1], 2.0);
-  // Rows are contiguous slices of one backing matrix.
-  EXPECT_EQ(data.row(1).data(), data.row(0).data() + 2);
-  EXPECT_EQ(data.row(3).data(), data.row(0).data() + 6);
-}
-
-/// Reference implementation of the historical deep-copy kFold semantics:
-/// shuffle positions, fold = position % folds, materialize per fold.
-std::vector<std::pair<Dataset, Dataset>> referenceKFold(const Dataset& data, int folds,
-                                                        support::Rng& rng) {
-  std::vector<std::size_t> order(data.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  rng.shuffle(order);
-  std::vector<int> foldOf(data.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    foldOf[order[i]] = static_cast<int>(i % static_cast<std::size_t>(folds));
-  }
-  std::vector<std::pair<Dataset, Dataset>> result;
-  for (int fold = 0; fold < folds; ++fold) {
-    Dataset train{data.featureCount()};
-    Dataset validation{data.featureCount()};
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      (foldOf[i] == fold ? validation : train).add(data.row(i), data.label(i), data.weight(i));
-    }
-    result.emplace_back(std::move(train), std::move(validation));
-  }
-  return result;
-}
-
-void expectSameRows(const Dataset& a, const Dataset& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.featureCount(), b.featureCount());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(std::equal(a.row(i).begin(), a.row(i).end(), b.row(i).begin())) << i;
-    EXPECT_EQ(a.label(i), b.label(i)) << i;
-    EXPECT_DOUBLE_EQ(a.weight(i), b.weight(i)) << i;
-  }
-}
-
-TEST(DatasetTest, KFoldViewsMatchHistoricalDeepCopySemantics) {
-  support::Rng dataRng{11};
+TEST(DatasetTest, EqualTuplesShareOneStoredTuple) {
   Dataset data{2};
-  for (int i = 0; i < 500; ++i) {
-    data.add({static_cast<double>(dataRng.below(5)), static_cast<double>(dataRng.below(3))},
-             i % 2, 1.0 + (i % 4));
-  }
-  // Identical Rng state for both implementations: fold membership must be
-  // byte-identical under a fixed seed.
-  support::Rng rngA{42};
-  support::Rng rngB{42};
-  const auto views = data.kFold(3, rngA);
-  const auto reference = referenceKFold(data, 3, rngB);
-  ASSERT_EQ(views.size(), reference.size());
-  for (std::size_t fold = 0; fold < views.size(); ++fold) {
-    expectSameRows(views[fold].first.materialized(), reference[fold].first);
-    expectSameRows(views[fold].second.materialized(), reference[fold].second);
-  }
-  // View indices are ascending backing-row positions (the historical
-  // iteration order).
-  for (const auto& [train, validation] : views) {
-    EXPECT_TRUE(std::is_sorted(train.indices().begin(), train.indices().end()));
-    EXPECT_TRUE(std::is_sorted(validation.indices().begin(), validation.indices().end()));
-  }
+  data.add({1.0, 2.0}, 1);
+  data.add({1.0, 2.0}, 0, 3.0);  // same tuple, other label and weight
+  data.add({4.0, 5.0}, 1);
+  data.add({1.0, 2.0}, 1, 2.0);
+  EXPECT_EQ(data.row(1).data(), data.row(0).data());
+  EXPECT_EQ(data.row(3).data(), data.row(0).data());
+  EXPECT_NE(data.row(2).data(), data.row(0).data());
+  EXPECT_EQ(data.label(1), 0);
+  EXPECT_DOUBLE_EQ(data.weight(1), 3.0);
+  EXPECT_DOUBLE_EQ(data.row(2)[1], 5.0);
 }
 
-TEST(DatasetTest, ViewAggregationMatchesMaterializedAggregation) {
-  support::Rng dataRng{12};
+TEST(DatasetTest, NegativeZeroIsADistinctTuple) {
+  Dataset data{1};
+  data.add({-0.0}, 1);
+  data.add({0.0}, 1);
+  data.add({-0.0}, 0);
+  EXPECT_NE(data.row(0).data(), data.row(1).data());
+  EXPECT_EQ(data.row(2).data(), data.row(0).data());
+  EXPECT_TRUE(std::signbit(data.row(0)[0]));
+  EXPECT_FALSE(std::signbit(data.row(1)[0]));
+}
+
+TEST(DatasetTest, SelfRowAddIsSafeWhileThePoolGrows) {
   Dataset data{2};
-  for (int i = 0; i < 400; ++i) {
-    data.add({static_cast<double>(dataRng.below(3)), static_cast<double>(dataRng.below(3))},
-             static_cast<int>(dataRng.below(2)), 1.0);
+  data.add({1.0, 2.0}, 1);
+  // Interleave self-appends with new distinct tuples, so the tuple pool
+  // reallocates many times between them.
+  for (int i = 0; i < 300; ++i) {
+    data.add({static_cast<double>(i), -1.0}, 0);
+    data.add(data.row(data.size() - 1), 0);
+    data.add(data.row(0), data.label(0), data.weight(0));
   }
-  support::Rng rng{13};
-  for (const auto& [train, validation] : data.kFold(4, rng)) {
-    expectSameRows(train.aggregated(), train.materialized().aggregated());
-    expectSameRows(validation.aggregated(), validation.materialized().aggregated());
+  ASSERT_EQ(data.size(), 901u);
+  for (std::size_t i = 0; i < data.size(); i += 3) {
+    EXPECT_DOUBLE_EQ(data.row(i)[0], 1.0) << i;
+    EXPECT_DOUBLE_EQ(data.row(i)[1], 2.0) << i;
+  }
+  for (std::size_t i = 1; i < data.size(); i += 3) {
+    EXPECT_EQ(data.row(i + 1).data(), data.row(i).data()) << i;
+    EXPECT_DOUBLE_EQ(data.row(i)[0], static_cast<double>(i / 3)) << i;
+    EXPECT_DOUBLE_EQ(data.row(i)[1], -1.0) << i;
   }
 }
 
-TEST(DatasetTest, KFoldAggregatedMatchesPerViewAggregation) {
+TEST(DatasetTest, KFoldAggregatedMatchesReferenceKFold) {
   support::Rng dataRng{14};
   Dataset data{2};
   for (int i = 0; i < 600; ++i) {
     data.add({static_cast<double>(dataRng.below(4)), static_cast<double>(dataRng.below(4))},
              static_cast<int>(dataRng.below(2)), 1.0 + (i % 3));
   }
-  // Same seed for both paths: kFoldAggregated consumes the Rng exactly like
-  // kFold (one shuffle), so downstream draws cannot shift.
-  support::Rng rngA{15};
-  support::Rng rngB{15};
-  const auto fused = data.kFoldAggregated(3, rngA);
-  const auto views = data.kFold(3, rngB);
-  EXPECT_EQ(rngA(), rngB());  // identical Rng state afterwards
-  ASSERT_EQ(fused.folds.size(), views.size());
-  for (std::size_t fold = 0; fold < views.size(); ++fold) {
-    expectSameRows(fused.folds[fold].first, views[fold].first.aggregated());
-    expectSameRows(fused.folds[fold].second, views[fold].second.aggregated());
-  }
-  expectSameRows(fused.all, data.aggregated());
+  // The oracle is the historical deep-copy k-fold over the flat layout,
+  // aggregated per fold; same seed, and the Rng must end in the same state
+  // so downstream draws cannot shift.
+  flat::expectOperationsMatchOracle(data, flat::materialize(data), 200, 3, 15, "600 rows");
+  flat::expectOperationsMatchOracle(data, flat::materialize(data), 599, 7, 16, "7 folds");
 }
 
 TEST(DatasetTest, SampledIsDeterministicPerSeed) {
-  support::Rng dataRng{16};
   Dataset data{1};
   for (int i = 0; i < 300; ++i) data.add({static_cast<double>(i)}, i % 2);
   support::Rng rngA{17};
   support::Rng rngB{17};
-  expectSameRows(data.sampled(50, rngA), data.sampled(50, rngB));
-}
-
-TEST(DatasetTest, AddingARowViewOfItselfIsSafeAcrossReallocation) {
-  Dataset data{2};
-  data.add({1.0, 2.0}, 1);
-  // Repeated self-appends force several reallocations of the backing matrix
-  // while the source span views it.
-  for (int i = 0; i < 200; ++i) data.add(data.row(0), data.label(0), data.weight(0));
-  ASSERT_EQ(data.size(), 201u);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_DOUBLE_EQ(data.row(i)[0], 1.0) << i;
-    EXPECT_DOUBLE_EQ(data.row(i)[1], 2.0) << i;
-  }
+  flat::expectSameRows(data.sampled(50, rngA), flat::materialize(data.sampled(50, rngB)),
+                       "sampled");
 }
 
 TEST(DatasetTest, AggregationDistinguishesLabelsAndBitPatterns) {

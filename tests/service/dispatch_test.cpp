@@ -144,6 +144,26 @@ TEST_F(DispatchTest, AttackEndpointScoresAgainstSuppliedKey) {
   EXPECT_NE(document.find("schema"), nullptr);
 }
 
+TEST_F(DispatchTest, AttackWithFewerTrainingRowsThanFoldsIs400) {
+  LockRequest lockReq;
+  lockReq.source = kMixer;
+  lockReq.seed = 7;
+  const LockResponse locked = runLock(cache_, lockReq);
+
+  support::JsonValue body;
+  body.set("source", locked.lockedVerilog);
+  body.set("key", keyFileToJson(locked.key));
+  body.set("rounds", std::uint64_t{1});
+  body.set("relock_budget", "1%");
+  body.set("folds", std::uint64_t{3});
+  const HttpResponse response =
+      dispatcher_.handle(makeRequest("POST", "/v1/attack", body.dump()));
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.body.find("1 row(s) for 3 folds"), std::string::npos) << response.body;
+  // The daemon keeps serving.
+  EXPECT_EQ(dispatcher_.handle(makeRequest("GET", "/healthz")).status, 200);
+}
+
 TEST_F(DispatchTest, EvalEndpointRunsTheGrid) {
   support::JsonValue body;
   body.set("source", kMixer);
