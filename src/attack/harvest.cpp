@@ -140,25 +140,27 @@ std::vector<Locality> LocalityHarvester::harvest() const {
 }
 
 void LocalityHarvester::harvestInto(ml::Dataset& out) const {
+  const auto labelOf = [this](int keyIndex) {
+    const auto labelIndex = static_cast<std::size_t>(keyIndex - roundKeyStart_);
+    RTLOCK_REQUIRE(labelIndex < roundKeyValues_.size(),
+                   "harvested a training mux with unknown key bit");
+    return roundKeyValues_[labelIndex] ? 1 : 0;
+  };
   if (roundHasClonedKeyMuxes()) {
-    // Legacy bit-exact path: cloned key muxes mean duplicate key indices,
-    // whose relative order under the extractor's std::sort is
-    // implementation-defined — and committed into the quality baseline.
-    // Reproduce it by running the extractor itself for this round.
-    for (const Locality& locality :
-         extractLocalities(engine_.module(), config_, roundKeyStart_)) {
-      const auto labelIndex = static_cast<std::size_t>(locality.keyIndex - roundKeyStart_);
-      RTLOCK_REQUIRE(labelIndex < roundKeyValues_.size(),
-                     "harvested a training mux with unknown key bit");
-      out.add(locality.features, roundKeyValues_[labelIndex] ? 1 : 0);
+    // Cloned key muxes mean duplicate key indices, whose relative order under
+    // the extractor's std::sort is implementation-defined — and committed
+    // into the quality baseline.  Reproduce it with the extractor's own site
+    // walk and sort (one code path, the same tie order), then compute each
+    // site's features into the row scratch.
+    for (const KeyMuxSite& site : walk_.collect(engine_.module(), roundKeyStart_)) {
+      row_.clear();
+      appendLocalityFeatures(*site.mux, site.parentCode, config_, row_);
+      out.add(row_, labelOf(site.keyIndex));
     }
     return;
   }
-  forEachHarvested([this, &out](const Entry& entry, const ml::FeatureRow& features) {
-    const auto labelIndex = static_cast<std::size_t>(entry.keyIndex - roundKeyStart_);
-    RTLOCK_REQUIRE(labelIndex < roundKeyValues_.size(),
-                   "harvested a training mux with unknown key bit");
-    out.add(features, roundKeyValues_[labelIndex] ? 1 : 0);
+  forEachHarvested([&out, &labelOf](const Entry& entry, const ml::FeatureRow& features) {
+    out.add(features, labelOf(entry.keyIndex));
   });
 }
 

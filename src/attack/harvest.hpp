@@ -50,10 +50,11 @@ class LocalityHarvester final : public lock::LockObserver {
 
   /// Appends one (features, key-bit label) training row per harvested
   /// locality to `out` — the path snapshotAttack trains from.  Rounds whose
-  /// locks cloned a key mux into a dummy subtree (duplicate key indices) are
-  /// routed through the legacy full-walk extractor so the training rows stay
-  /// bit-identical to the historical pipeline, duplicate tie order included;
-  /// every other round takes the pure O(budget) incremental path.
+  /// locks cloned a key mux into a dummy subtree (duplicate key indices) run
+  /// the full-walk extractor's own site walk and sort (KeyMuxWalk), so the
+  /// training rows stay bit-identical to extractLocalities, duplicate tie
+  /// order included; every other round takes the pure O(budget) incremental
+  /// path.  Neither path allocates per locality.
   void harvestInto(ml::Dataset& out) const;
 
   /// True when the current round recorded at least one cloned key mux of
@@ -90,6 +91,7 @@ class LocalityHarvester final : public lock::LockObserver {
   std::vector<bool> roundKeyValues_;     // label of key bit roundKeyStart_ + i
   std::vector<std::pair<const rtl::Expr*, int>> pending_;  // clone-scan scratch
   mutable std::vector<const Entry*> order_;  // harvest sort scratch
+  mutable KeyMuxWalk walk_;                  // clone-round full walk scratch
   mutable ml::FeatureRow row_;               // harvest feature scratch
 };
 

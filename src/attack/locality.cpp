@@ -28,43 +28,6 @@ constexpr int kSliceCode = 107;
   return 4;
 }
 
-/// Walks expression trees with an explicit work list — locked designs nest
-/// muxes arbitrarily deep (every relock adds a level), and the collector must
-/// not be the component that overflows the stack on pathological chains.
-struct Collector {
-  const LocalityConfig& config;
-  std::vector<Locality>& out;
-  int minKeyIndex;
-  std::vector<std::pair<const Expr*, int>> pending;  // (node, parent code)
-
-  void visitTree(const Expr& root, int parentCode) {
-    pending.clear();
-    pending.emplace_back(&root, parentCode);
-    while (!pending.empty()) {
-      const auto [expr, parent] = pending.back();
-      pending.pop_back();
-      if (expr->kind() == ExprKind::Ternary) {
-        const auto& ternary = static_cast<const rtl::TernaryExpr&>(*expr);
-        if (ternary.isKeyMux()) {
-          const int keyIndex =
-              static_cast<const rtl::KeyRefExpr&>(ternary.cond()).firstBit();
-          if (keyIndex >= minKeyIndex) {
-            Locality locality;
-            locality.keyIndex = keyIndex;
-            appendLocalityFeatures(ternary, parent, config, locality.features);
-            out.push_back(std::move(locality));
-          }
-        }
-      }
-      const int myCode = constructCode(*expr);
-      // Reverse push keeps the historical pre-order (left-to-right) visit.
-      for (int i = expr->exprSlotCount() - 1; i >= 0; --i) {
-        pending.emplace_back(&expr->child(i), myCode);
-      }
-    }
-  }
-};
-
 }  // namespace
 
 int featureCount(const LocalityConfig& config) noexcept { return config.extendedFeatures ? 6 : 2; }
@@ -98,27 +61,58 @@ void appendLocalityFeatures(const rtl::TernaryExpr& mux, int parentCode,
   }
 }
 
-std::vector<Locality> extractLocalities(const rtl::Module& module, const LocalityConfig& config,
-                                        int minKeyIndex) {
-  std::vector<Locality> localities;
-  Collector collector{config, localities, minKeyIndex, {}};
-  for (const auto& assign : module.contAssigns()) {
-    collector.visitTree(assign->value(), kTopCode);
-  }
-  rtl::forEachStmt(module, [&collector](const rtl::Stmt& stmt) {
-    for (int i = 0; i < stmt.exprSlotCount(); ++i) {
-      collector.visitTree(stmt.exprAt(i), kTopCode);
+void KeyMuxWalk::visitTree(const Expr& root, int minKeyIndex) {
+  // Explicit work list: locked designs nest muxes arbitrarily deep (every
+  // relock adds a level), and the walk must not be the component that
+  // overflows the stack on pathological chains.
+  pending_.clear();
+  pending_.emplace_back(&root, kTopCode);
+  while (!pending_.empty()) {
+    const auto [expr, parent] = pending_.back();
+    pending_.pop_back();
+    if (expr->kind() == ExprKind::Ternary) {
+      const auto& ternary = static_cast<const rtl::TernaryExpr&>(*expr);
+      if (ternary.isKeyMux()) {
+        const int keyIndex = static_cast<const rtl::KeyRefExpr&>(ternary.cond()).firstBit();
+        if (keyIndex >= minKeyIndex) sites_.push_back(KeyMuxSite{keyIndex, &ternary, parent});
+      }
     }
+    const int myCode = constructCode(*expr);
+    // Reverse push keeps the historical pre-order (left-to-right) visit.
+    for (int i = expr->exprSlotCount() - 1; i >= 0; --i) {
+      pending_.emplace_back(&expr->child(i), myCode);
+    }
+  }
+}
+
+const std::vector<KeyMuxSite>& KeyMuxWalk::collect(const rtl::Module& module, int minKeyIndex) {
+  sites_.clear();
+  for (const auto& assign : module.contAssigns()) visitTree(assign->value(), minKeyIndex);
+  rtl::forEachStmt(module, [this, minKeyIndex](const rtl::Stmt& stmt) {
+    for (int i = 0; i < stmt.exprSlotCount(); ++i) visitTree(stmt.exprAt(i), minKeyIndex);
   });
   // NOTE: deliberately std::sort, not stable_sort.  Duplicate key indices
   // (cloned muxes in non-three-address operand subtrees, e.g. SASC) land in
   // implementation-defined relative order — and that exact order is baked
-  // into the committed BENCH_baseline.json quality rows, which the
-  // incremental harvester reproduces by routing clone rounds through this
-  // extractor (attack/harvest.cpp).  Changing the tie behaviour here is a
-  // one-way re-baselining event.
-  std::sort(localities.begin(), localities.end(),
-            [](const Locality& a, const Locality& b) { return a.keyIndex < b.keyIndex; });
+  // into the committed BENCH_baseline.json quality rows.  The sort runs on
+  // the sites, before any feature is computed: introsort's permutation
+  // depends only on the comparison outcomes, which equal those of the
+  // historical sort over whole localities, so the tie order is unchanged.
+  // Changing the tie behaviour here is a one-way re-baselining event.
+  std::sort(sites_.begin(), sites_.end(),
+            [](const KeyMuxSite& a, const KeyMuxSite& b) { return a.keyIndex < b.keyIndex; });
+  return sites_;
+}
+
+std::vector<Locality> extractLocalities(const rtl::Module& module, const LocalityConfig& config,
+                                        int minKeyIndex) {
+  KeyMuxWalk walk;
+  const std::vector<KeyMuxSite>& sites = walk.collect(module, minKeyIndex);
+  std::vector<Locality> localities(sites.size());
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    localities[i].keyIndex = sites[i].keyIndex;
+    appendLocalityFeatures(*sites[i].mux, sites[i].parentCode, config, localities[i].features);
+  }
   return localities;
 }
 

@@ -10,6 +10,7 @@
 // bucket) for ablation studies.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "ml/dataset.hpp"
@@ -50,8 +51,32 @@ struct Locality {
 void appendLocalityFeatures(const rtl::TernaryExpr& mux, int parentCode,
                             const LocalityConfig& config, ml::FeatureRow& out);
 
+/// One key mux found by the full walk: its key bit, node and parent code.
+struct KeyMuxSite {
+  int keyIndex = 0;
+  const rtl::TernaryExpr* mux = nullptr;
+  int parentCode = kTopCode;
+};
+
+/// The full walk behind extractLocalities, with reusable scratch so a caller
+/// that walks once per relock round (LocalityHarvester's clone-round path)
+/// allocates nothing after warm-up.
+class KeyMuxWalk {
+ public:
+  /// Every key mux of `module` with key index >= minKeyIndex, ordered by key
+  /// index.  The sites point into the module's live expression tree; the
+  /// returned vector is this walk's scratch, overwritten by the next call.
+  const std::vector<KeyMuxSite>& collect(const rtl::Module& module, int minKeyIndex);
+
+ private:
+  void visitTree(const rtl::Expr& root, int minKeyIndex);
+
+  std::vector<KeyMuxSite> sites_;
+  std::vector<std::pair<const rtl::Expr*, int>> pending_;  // (node, parent code)
+};
+
 /// Extracts one locality per key mux with key index >= minKeyIndex, in
-/// ascending key-index order.
+/// ascending key-index order (KeyMuxWalk's site order).
 [[nodiscard]] std::vector<Locality> extractLocalities(const rtl::Module& module,
                                                       const LocalityConfig& config,
                                                       int minKeyIndex = 0);

@@ -50,7 +50,9 @@ int runWorkCommand(const std::vector<std::string>& args, CommandIo& io) {
     throw UsageError{"--budget takes a fraction of the module's operations here (e.g. 75%)"};
   }
   const std::uint64_t rounds = u64Flag(flags, "rounds", 1000);
-  if (rounds > 1'000'000'000) throw UsageError{"--rounds must be at most 1000000000"};
+  if (rounds < 1 || rounds > 1'000'000'000) {
+    throw UsageError{"--rounds must be in [1, 1000000000]"};
+  }
   request.rounds = static_cast<int>(rounds);
   const std::uint64_t folds = u64Flag(flags, "folds", 3);
   if (folds < 2 || folds > 1000) throw UsageError{"--folds must be in [2, 1000]"};

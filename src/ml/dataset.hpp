@@ -49,11 +49,21 @@ class Dataset {
   [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
   [[nodiscard]] bool empty() const noexcept { return keys_.empty(); }
 
-  [[nodiscard]] RowView row(std::size_t index) const noexcept { return tuple(keys_[index] >> 1); }
+  [[nodiscard]] RowView row(std::size_t index) const noexcept { return tuple(tupleCode(index)); }
   [[nodiscard]] int label(std::size_t index) const noexcept {
     return static_cast<int>(keys_[index] & 1u);
   }
   [[nodiscard]] double weight(std::size_t index) const noexcept { return weights_[index]; }
+
+  /// Code of row `index`'s feature tuple, in [0, tupleCount()): rows with
+  /// bit-identical tuples share a code.  aggregated(), sampled() and
+  /// kFoldAggregated() results share their source's pool, so a code names
+  /// the same tuple in all of them; some codes may have no row.
+  [[nodiscard]] std::uint32_t tupleCode(std::size_t index) const noexcept {
+    return keys_[index] >> 1;
+  }
+  /// Number of tuples in the pool (an upper bound on the distinct rows).
+  [[nodiscard]] std::size_t tupleCount() const noexcept { return tupleHashes_.size(); }
 
   [[nodiscard]] double totalWeight() const noexcept;
   /// Weighted fraction of rows with label 1.

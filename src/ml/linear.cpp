@@ -1,6 +1,7 @@
 #include "ml/linear.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 namespace rtlock::ml {
 
@@ -43,17 +44,29 @@ void LogisticRegression::fit(const Dataset& data, support::Rng& /*rng*/) {
     scale_[f] = std::sqrt(std::max(variance[f] / totalWeight, 1e-12));
   }
 
+  // Rows sharing a tuple code share z, and so sigmoid(z), within an epoch
+  // (the weights move only at the epoch's end): compute it the first time a
+  // row of the code appears, with the per-row expression, so every float is
+  // unchanged.  The gradient stays per row, in row order.
+  const std::size_t codes = data.tupleCount();
+  std::vector<double> probabilityOf(codes);
+  std::vector<int> epochOf(codes, -1);  // last epoch that computed the code's sigmoid(z)
   std::vector<double> gradient(features);
   for (int epoch = 0; epoch < hyper_.epochs; ++epoch) {
     std::fill(gradient.begin(), gradient.end(), 0.0);
     double biasGradient = 0.0;
     for (std::size_t i = 0; i < data.size(); ++i) {
       const RowView row = data.row(i);
-      double z = bias_;
-      for (std::size_t f = 0; f < features; ++f) {
-        z += weights_[f] * (row[f] - mean_[f]) / scale_[f];
+      const std::uint32_t code = data.tupleCode(i);
+      if (epochOf[code] != epoch) {
+        double z = bias_;
+        for (std::size_t f = 0; f < features; ++f) {
+          z += weights_[f] * (row[f] - mean_[f]) / scale_[f];
+        }
+        probabilityOf[code] = sigmoid(z);
+        epochOf[code] = epoch;
       }
-      const double error = sigmoid(z) - static_cast<double>(data.label(i));
+      const double error = probabilityOf[code] - static_cast<double>(data.label(i));
       const double scaledError = data.weight(i) * error / totalWeight;
       for (std::size_t f = 0; f < features; ++f) {
         gradient[f] += scaledError * (row[f] - mean_[f]) / scale_[f];

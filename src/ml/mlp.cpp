@@ -1,6 +1,7 @@
 #include "ml/mlp.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 namespace rtlock::ml {
 
@@ -86,8 +87,18 @@ void MlpClassifier::fit(const Dataset& data, support::Rng& rng) {
   std::vector<double> gradHiddenB(hiddenBias_.size());
   std::vector<double> gradOutputW(outputWeights_.size());
   std::vector<double> gradOutputB(1);
-  std::vector<double> normalized(inputs);
-  std::vector<double> activations(hidden);
+
+  // Per-tuple forward passes.  Rows sharing a tuple code share their
+  // normalized inputs (fixed for the fit) and, within one epoch, their
+  // activations and prediction (the weights move only at the epoch's end).
+  // Each is computed the first time a row of that code appears, with the
+  // per-row expressions, so every float is unchanged; error and gradient
+  // accumulation stay per row, in row order.
+  const std::size_t codes = data.tupleCount();
+  std::vector<double> normalizedOf(codes * inputs);
+  std::vector<double> activationsOf(codes * hidden);
+  std::vector<double> predictionOf(codes);
+  std::vector<int> epochOf(codes, -1);  // last epoch that ran the code's forward pass
 
   for (int epoch = 0; epoch < hyper_.epochs; ++epoch) {
     std::fill(gradHiddenW.begin(), gradHiddenW.end(), 0.0);
@@ -96,22 +107,30 @@ void MlpClassifier::fit(const Dataset& data, support::Rng& rng) {
     gradOutputB[0] = 0.0;
 
     for (std::size_t i = 0; i < data.size(); ++i) {
-      const RowView row = data.row(i);
-      for (std::size_t f = 0; f < inputs; ++f) {
-        normalized[f] = (row[f] - mean_[f]) / scale_[f];
-      }
-      double output = outputBias_;
-      for (std::size_t h = 0; h < hidden; ++h) {
-        double z = hiddenBias_[h];
-        for (std::size_t f = 0; f < inputs; ++f) {
-          z += hiddenWeights_[h * inputs + f] * normalized[f];
+      const std::uint32_t code = data.tupleCode(i);
+      double* normalized = normalizedOf.data() + code * inputs;
+      double* activations = activationsOf.data() + code * hidden;
+      if (epochOf[code] != epoch) {
+        if (epochOf[code] < 0) {
+          const RowView row = data.row(i);
+          for (std::size_t f = 0; f < inputs; ++f) {
+            normalized[f] = (row[f] - mean_[f]) / scale_[f];
+          }
         }
-        activations[h] = std::tanh(z);
-        output += outputWeights_[h] * activations[h];
+        double output = outputBias_;
+        for (std::size_t h = 0; h < hidden; ++h) {
+          double z = hiddenBias_[h];
+          for (std::size_t f = 0; f < inputs; ++f) {
+            z += hiddenWeights_[h * inputs + f] * normalized[f];
+          }
+          activations[h] = std::tanh(z);
+          output += outputWeights_[h] * activations[h];
+        }
+        predictionOf[code] = sigmoid(output);
+        epochOf[code] = epoch;
       }
-      const double prediction = sigmoid(output);
-      const double error =
-          data.weight(i) * (prediction - static_cast<double>(data.label(i))) / totalWeight;
+      const double error = data.weight(i) *
+                           (predictionOf[code] - static_cast<double>(data.label(i))) / totalWeight;
 
       gradOutputB[0] += error;
       for (std::size_t h = 0; h < hidden; ++h) {

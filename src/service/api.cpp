@@ -426,8 +426,8 @@ EvalResponse runEval(SessionCache& cache, const EvalRequest& request) {
   if (!request.budget.isFraction) {
     throw BadRequest{"budget takes a fraction of the module's operations here (e.g. 75%)"};
   }
-  if (request.rounds < 0 || request.rounds > 1'000'000'000) {
-    throw BadRequest{"rounds must be at most 1000000000"};
+  if (request.rounds < 1 || request.rounds > 1'000'000'000) {
+    throw BadRequest{"rounds must be in [1, 1000000000]"};
   }
   if (request.folds < 2 || request.folds > 1000) throw BadRequest{"folds must be in [2, 1000]"};
 

@@ -56,11 +56,12 @@ class Rng {
   /// Uniform integer in [0, bound).  bound must be positive.
   [[nodiscard]] std::uint64_t below(std::uint64_t bound) {
     RTLOCK_REQUIRE(bound > 0, "Rng::below requires a positive bound");
-    // Lemire-style rejection to avoid modulo bias.
-    const std::uint64_t threshold = (0 - bound) % bound;
+    // Rejection against modulo bias: draws below 2^64 mod bound are redrawn.
+    // That threshold is smaller than `bound`, so a draw >= bound is accepted
+    // without computing it: one division per draw instead of two, same values.
     for (;;) {
       const std::uint64_t r = (*this)();
-      if (r >= threshold) return r % bound;
+      if (r >= bound || r >= (0 - bound) % bound) return r % bound;
     }
   }
 
@@ -125,7 +126,8 @@ class Rng {
     }
   }
 
-  /// k distinct indices drawn uniformly from [0, n) (partial Fisher-Yates).
+  /// k distinct indices drawn uniformly from [0, n) (partial Fisher-Yates:
+  /// draw i is below(n - i)).
   [[nodiscard]] std::vector<std::size_t> sampleIndices(std::size_t n, std::size_t k);
 
   /// Derive an independent child stream; children of distinct draws are

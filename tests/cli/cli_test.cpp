@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+#include <vector>
+
 namespace rtlock {
 namespace {
 
@@ -111,6 +115,26 @@ TEST(CliDispatchTest, IntegerFlagsRejectMalformedValues) {
   EXPECT_EQ(runCli({"eval", "in.v", "--samples=1x"}).exitCode, cli::kExitUsage);
   EXPECT_EQ(runCli({"eval", "in.v", "--samples=0"}).exitCode, cli::kExitUsage);
   EXPECT_EQ(runCli({"eval", "in.v", "--retries=-1"}).exitCode, cli::kExitUsage);
+}
+
+TEST(CliDispatchTest, ZeroRoundsIsUsageErrorForEveryAttackCommand) {
+  // Every attack trains from at least one relock round, so --rounds=0 is
+  // refused up front with the accepted range, not per cell mid-campaign.
+  const std::string input = std::string{RTLOCK_EXAMPLES_DIR} + "/external/alu8.v";
+  const std::string manifest = ::testing::TempDir() + "cli_zero_rounds.manifest";
+  const std::vector<std::vector<std::string>> commands{
+      {"attack", input, "--rounds=0"},
+      {"eval", input, "--rounds=0", "--samples=1"},
+      {"work", input, "--manifest=" + manifest, "--rounds=0", "--samples=1"}};
+  for (const std::vector<std::string>& command : commands) {
+    const auto result = runCli(command);
+    EXPECT_EQ(result.exitCode, cli::kExitUsage) << command[0] << ": " << result.err;
+    EXPECT_NE(result.err.find("--rounds must be in [1, 1000000000]"), std::string::npos)
+        << command[0] << ": " << result.err;
+    EXPECT_EQ(result.out, "") << command[0];
+  }
+  // The worker stopped before touching the shared manifest.
+  EXPECT_FALSE(std::ifstream{manifest}.good());
 }
 
 TEST(CliDispatchTest, MissingInputFileIsRuntimeError) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "flat_dataset.hpp"
 #include "support/diagnostics.hpp"
@@ -78,6 +82,53 @@ TEST(DatasetTest, KFoldAggregatedCoversEveryRowExactlyOnce) {
 TEST(DatasetTest, KFoldAggregatedNeedsTwoFolds) {
   support::Rng rng{4};
   EXPECT_THROW((void)sample().kFoldAggregated(1, rng), support::ContractViolation);
+}
+
+TEST(DatasetTest, TupleCodesNameOnePoolAcrossDerivedDatasets) {
+  // Codes are dense first-added positions in the pool; equal tuples share a
+  // code whatever their label, and -0.0 is a tuple of its own.
+  Dataset data{2};
+  data.add({1.0, 2.0}, 1);
+  data.add({4.0, 5.0}, 0);
+  data.add({1.0, 2.0}, 0);
+  data.add({-0.0, 0.0}, 1);
+  data.add({0.0, 0.0}, 1);
+  data.add({4.0, 5.0}, 1);
+  ASSERT_EQ(data.tupleCount(), 4u);
+  const std::vector<std::uint32_t> codes{0, 1, 0, 2, 3, 1};
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(data.tupleCode(i), codes[i]) << "row " << i;
+  }
+
+  // Derived datasets keep the source's pool: same count, and a code names
+  // the same tuple (row views alias one pool entry per code).
+  const auto expectSharedPool = [&data](const Dataset& derived, const std::string& what) {
+    EXPECT_EQ(derived.tupleCount(), data.tupleCount()) << what;
+    for (std::size_t i = 0; i < derived.size(); ++i) {
+      const std::uint32_t code = derived.tupleCode(i);
+      ASSERT_LT(code, derived.tupleCount()) << what;
+      for (std::size_t j = 0; j < data.size(); ++j) {
+        if (data.tupleCode(j) != code) continue;
+        EXPECT_TRUE(std::equal(derived.row(i).begin(), derived.row(i).end(),
+                               data.row(j).begin(), data.row(j).end()))
+            << what << " row " << i;
+        break;
+      }
+    }
+  };
+  const Dataset aggregated = data.aggregated();
+  expectSharedPool(aggregated, "aggregated");
+  support::Rng rng{5};
+  expectSharedPool(data.sampled(3, rng), "sampled");
+  const KFoldAggregates folds = data.kFoldAggregated(3, rng);
+  for (const auto& [train, validation] : folds.folds) {
+    expectSharedPool(train, "train");
+    expectSharedPool(validation, "validation");
+  }
+  expectSharedPool(folds.all, "all");
+  // A validation fold of two rows holds at most two of the four codes.
+  EXPECT_LT(folds.folds[0].second.size(), data.tupleCount());
+  EXPECT_EQ(Dataset{3}.tupleCount(), 0u);
 }
 
 TEST(DatasetTest, EqualTuplesShareOneStoredTuple) {

@@ -182,6 +182,20 @@ TEST_F(DispatchTest, EvalEndpointRunsTheGrid) {
   EXPECT_EQ(first.body, second.body);
 }
 
+TEST_F(DispatchTest, EvalRejectsZeroRounds) {
+  // Zero relock rounds would leave every cell without a training set: the
+  // request is refused whole, with the accepted range, before any cell runs.
+  support::JsonValue body;
+  body.set("source", kMixer);
+  body.set("algos", "era");
+  body.set("samples", std::uint64_t{1});
+  body.set("rounds", std::uint64_t{0});
+  const HttpResponse response = dispatcher_.handle(makeRequest("POST", "/v1/eval", body.dump()));
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.body.find("rounds must be in [1, 1000000000]"), std::string::npos)
+      << response.body;
+}
+
 TEST_F(DispatchTest, EvalRejectsEmptyAxes) {
   support::JsonValue body;
   body.set("source", kMixer);

@@ -3,10 +3,36 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace rtlock::support {
 namespace {
+
+/// The historical Rng::below: the rejection threshold computed up front.
+std::uint64_t referenceBelow(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+/// The historical Rng::sampleIndices: partial Fisher-Yates over an n-sized
+/// iota pool of size_t.
+std::vector<std::size_t> referenceSampleIndices(Rng& rng, std::size_t n, std::size_t k) {
+  std::vector<std::size_t> pool(n);
+  std::iota(pool.begin(), pool.end(), std::size_t{0});
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto j = i + static_cast<std::size_t>(referenceBelow(rng, n - i));
+    std::swap(pool[i], pool[j]);
+  }
+  pool.resize(k);
+  return pool;
+}
 
 TEST(RngTest, SameSeedSameStream) {
   Rng a{42};
@@ -158,6 +184,34 @@ TEST(RngTest, SampleIndicesFullPopulation) {
   const auto sample = rng.sampleIndices(10, 10);
   const std::set<std::size_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 10u);
+}
+
+TEST(RngTest, BelowMatchesHistoricalRejection) {
+  // Bounds near 2^64 make the rejection threshold large enough to reject.
+  const std::vector<std::uint64_t> bounds{
+      1, 2, 3, 17, 1ull << 31, (1ull << 63) + 1, ~0ull / 3 * 2, ~0ull - 5, ~0ull};
+  Rng rng{53};
+  Rng reference{53};
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t bound = bounds[static_cast<std::size_t>(i) % bounds.size()];
+    ASSERT_EQ(rng.below(bound), referenceBelow(reference, bound)) << "bound " << bound;
+  }
+  EXPECT_EQ(rng(), reference());
+}
+
+TEST(RngTest, SampleIndicesMatchesHistoricalPool) {
+  const std::vector<std::pair<std::size_t, std::size_t>> cases{
+      {0, 0}, {1, 0}, {1, 1}, {10, 0}, {10, 10}, {60, 60}, {100, 30}, {1000, 999},
+      {204'000, 100'000}};
+  std::uint64_t seed = 59;
+  for (const auto& [n, k] : cases) {
+    Rng rng{seed};
+    Rng reference{seed};
+    ++seed;
+    EXPECT_EQ(rng.sampleIndices(n, k), referenceSampleIndices(reference, n, k))
+        << "n " << n << " k " << k;
+    EXPECT_EQ(rng(), reference()) << "Rng state after n " << n << " k " << k;
+  }
 }
 
 TEST(RngTest, SampleMoreThanPopulationThrows) {
