@@ -17,6 +17,9 @@
 //
 // extractLocalities() is retained as the differential oracle; the
 // equivalence is enforced per registry design in tests/attack/harvest_test.
+// Rounds that clone key muxes are the exception: harvestInto runs the
+// extractor's own site walk for them (KeyMuxWalk, attack/locality.hpp), so
+// their rows keep the extractor's tie order among duplicate key indices.
 #pragma once
 
 #include <vector>
