@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -122,6 +123,7 @@ TEST(CliDispatchTest, ZeroRoundsIsUsageErrorForEveryAttackCommand) {
   // refused up front with the accepted range, not per cell mid-campaign.
   const std::string input = std::string{RTLOCK_EXAMPLES_DIR} + "/external/alu8.v";
   const std::string manifest = ::testing::TempDir() + "cli_zero_rounds.manifest";
+  std::filesystem::remove(manifest);
   const std::vector<std::vector<std::string>> commands{
       {"attack", input, "--rounds=0"},
       {"eval", input, "--rounds=0", "--samples=1"},
