@@ -53,6 +53,7 @@ std::vector<FeatureRow> probesOf(const Dataset& data) {
   return probes;
 }
 
+/// "(f0 f1 ...)" for failure messages.
 std::string describe(const FeatureRow& probe) {
   std::string text = "(";
   for (const double value : probe) text += std::to_string(value) + " ";
@@ -153,7 +154,8 @@ TEST(PerTupleFitTest, MatchesPerRowFitsOnEveryRegistryDesign) {
 }
 
 TEST(PerTupleFitTest, MatchesPerRowFitsWithPortfolioHyperparameters) {
-  // The paper's 75 % relock budget on the fig6 pair and a sampled() design.
+  // The paper's 75 % relock budget on the fig6 pair (FIR, SASC) and on MD5,
+  // whose paper-sized training set auto-ml subsamples.
   std::uint64_t seed = 100;
   for (const std::string design : {"FIR", "SASC", "MD5"}) {
     for (const bool extended : {false, true}) {
