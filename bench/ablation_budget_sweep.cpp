@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     const std::vector<lock::Algorithm> algorithms{
         lock::Algorithm::AssureSerial, lock::Algorithm::Hra, lock::Algorithm::Era};
     const support::Rng root{seed};
-    support::TaskPool pool{bench::requestedThreads(args)};
+    support::TaskPool pool{support::requestedThreads(args)};
     const auto cells = pool.map(
         budgetGrid.size() * algorithms.size(), [&](std::size_t index) {
           attack::EvaluationConfig cellConfig = config;

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     const bool csv = args.getBool("csv", false);
     // The grid shares one rng stream serially (cells are compared against
     // each other), so the sample loop is the parallelism level.
-    support::TaskPool pool{bench::requestedThreads(args)};
+    support::TaskPool pool{support::requestedThreads(args)};
 
     bench::banner("Locality feature-set ablation (basic [C1,C2] vs extended)",
                   "extension of Sisejkovic et al., DAC'22, Sec. 5 (SnapShot adaptation)",

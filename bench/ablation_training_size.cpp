@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
       attack::EvaluationResult era;
     };
     const support::Rng root{seed};
-    support::TaskPool pool{bench::requestedThreads(args)};
+    support::TaskPool pool{support::requestedThreads(args)};
     const auto cells = pool.map(roundGrid.size(), [&](std::size_t index) {
       attack::EvaluationConfig config;
       config.testLocks = static_cast<int>(args.getInt("samples", 2));

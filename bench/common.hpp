@@ -30,14 +30,6 @@
 
 namespace rtlock::bench {
 
-/// Requested worker count for a bench: --threads flag, then RTLOCK_THREADS,
-/// then hardware concurrency.  Shared with the rtlock CLI through
-/// support::requestedThreads so both front ends resolve thread counts
-/// identically.
-inline int requestedThreads(const support::CliArgs& args) {
-  return support::requestedThreads(args);
-}
-
 /// Renders a table according to the --csv flag.
 inline void emit(const support::Table& table, bool csv) {
   if (csv) {

@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
          "Fig. 4d/4g"}};
 
     support::TaskPool pool{
-        support::threadsForTasks(rtlock::bench::requestedThreads(args), cells.size())};
+        support::threadsForTasks(support::requestedThreads(args), cells.size())};
     const auto observations = pool.map(cells.size(), [&](std::size_t index) {
       support::Rng rng{seed + cells[index].seedOffset};
       return bench::observeFig4(cells[index].scenario, network, bits, rounds, rng);

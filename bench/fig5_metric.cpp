@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
     const bool csv = args.getBool("csv", false);
     const int step = static_cast<int>(args.getInt("grid-step", 5));
     const int budget = static_cast<int>(args.getInt("budget", 60));
-    const int threads = rtlock::bench::requestedThreads(args);
+    const int threads = support::requestedThreads(args);
 
     rtlock::bench::banner("Fig. 5 — metric surface and evolution",
                           "Sisejkovic et al., DAC'22, Fig. 5a/5b",

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     // and samples share the --threads workers.  Results come back in
     // submission order.
     const support::Rng root{seed};
-    support::TaskPool pool{rtlock::bench::requestedThreads(args)};
+    support::TaskPool pool{support::requestedThreads(args)};
     const auto cells = pool.map(
         benchmarks.size() * algorithms.size(), [&](std::size_t index) {
           const std::size_t b = index / algorithms.size();

@@ -1,7 +1,9 @@
 // Baseline runner: one binary that re-runs the headline figure reproductions
-// (Fig. 4/5/6) plus the hot-path microbenchmarks with fixed seeds and emits a
-// machine-readable BENCH_baseline.json, so optimisation PRs have a recorded
-// perf/quality trajectory to compare against.
+// (Fig. 4/5/6) with fixed seeds and emits a machine-readable
+// BENCH_baseline.json.  Its quality rows are the repo's quality gate; its
+// three `perf` rows time the quick fig6 grid and the journal and manifest
+// overhead of that grid, which CI's overhead gates compare.  Everything else
+// about speed is measured by perfbench/ (medians, spreads, machine line).
 //
 // Flags:
 //   --seed=N    master seed (default 1; every section derives fixed offsets)
@@ -14,50 +16,32 @@
 //               every thread count; only wall times vary.
 //   --check=PATH quality gate: compare every non-perf row of this run against
 //               the committed baseline JSON at PATH and fail on any drift
-//               (CI runs this against the repo-root BENCH_baseline.json).
+//               (CI and the `bench_run_baseline_check` CTest entry run this
+//               against the repo-root BENCH_baseline.json).
 //
 // JSON schema: {"schema": "...", "seed": N, "rows": [{bench, config, metric,
 // value, wall_ms}, ...]}.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "analysis/lint.hpp"
-#include "analysis/verifier.hpp"
-#include "attack/locality.hpp"
 #include "attack/pipeline.hpp"
 #include "campaign/journal.hpp"
 #include "campaign/manifest.hpp"
 #include "common.hpp"
 #include "fig4_scenarios.hpp"
 #include "core/algorithms.hpp"
-#include "core/metric.hpp"
 #include "designs/networks.hpp"
 #include "designs/registry.hpp"
-#include "service/server.hpp"
-#include "service/session.hpp"
-#include "sim/compiled_sim.hpp"
-#include "sim/evaluator.hpp"
-#include "sim/harness.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
-#include "verilog/parser.hpp"
-#include "verilog/writer.hpp"
 
 namespace {
 
@@ -76,15 +60,31 @@ double elapsedMs(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-/// Runs `body` and appends a row holding its result plus wall time.
-template <typename Body>
-void timedRow(std::vector<Row>& rows, std::string bench, std::string config, std::string metric,
-              Body&& body) {
-  const auto start = Clock::now();
-  const double value = body();
-  rows.push_back({std::move(bench), std::move(config), std::move(metric), value,
-                  elapsedMs(start)});
-}
+/// A fresh directory under the system temp dir, removed with its contents
+/// on destruction.  The overhead rows write their journal, manifest and
+/// claim files here, so concurrent runs never touch each other's files.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "rtlock_baseline_XXXXXX").string();
+    if (::mkdtemp(pattern.data()) == nullptr) {
+      throw support::Error{"cannot create a temp directory from " + pattern};
+    }
+    dir_ = pattern;
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
+  }
+
+  [[nodiscard]] std::string path(const std::string& name) const { return (dir_ / name).string(); }
+
+ private:
+  std::filesystem::path dir_;
+};
 
 // --- Fig. 4: worst key-correlated locality bias per relocking scenario -----
 //
@@ -206,9 +206,8 @@ void runFig6(std::vector<Row>& rows, std::uint64_t seed, bool full, int threads)
   // cell to a real journal (serialize + single write + flush, the campaign
   // engine's per-cell cost) and record the total.  Compare against the
   // wall_ms row above to verify journaling stays <5% of campaign wall.
-  const std::string journalPath =
-      (std::filesystem::temp_directory_path() / "rtlock_bench_journal.jsonl").string();
-  std::filesystem::remove(journalPath);
+  const ScratchDir scratch;
+  const std::string journalPath = scratch.path("journal.jsonl");
   {
     campaign::CampaignIdentity identity;
     identity.designHash = support::fnv1a64Hex(benchConfig);
@@ -235,16 +234,12 @@ void runFig6(std::vector<Row>& rows, std::uint64_t seed, bool full, int threads)
     rows.push_back({"perf", full ? "fig6_full" : "fig6_quick", "journal_overhead_ms",
                     journalWallMs, journalWallMs});
   }
-  std::filesystem::remove(journalPath);
 
   // Manifest/claim overhead: the multi-host coordination cost per grid cell
   // (manifest write + O_CREAT|O_EXCL claim + atomic done marker — what
   // `rtlock work` adds on top of journaling).  Compare against the wall_ms
   // row above to verify coordination stays <5% of campaign wall.
-  const std::string manifestPath =
-      (std::filesystem::temp_directory_path() / "rtlock_bench_campaign.manifest").string();
-  std::filesystem::remove(manifestPath);
-  std::filesystem::remove_all(manifestPath + ".claims");
+  const std::string manifestPath = scratch.path("campaign.manifest");
   {
     campaign::Manifest manifest;
     manifest.identity.designHash = support::fnv1a64Hex(benchConfig);
@@ -268,332 +263,6 @@ void runFig6(std::vector<Row>& rows, std::uint64_t seed, bool full, int threads)
     const double manifestWallMs = elapsedMs(manifestStart);
     rows.push_back({"perf", full ? "fig6_full" : "fig6_quick", "manifest_overhead_ms",
                     manifestWallMs, manifestWallMs});
-  }
-  std::filesystem::remove(manifestPath);
-  std::filesystem::remove_all(manifestPath + ".claims");
-}
-
-// --- perf: chrono timings of the hot paths perf_microbench covers ----------
-
-void runPerf(std::vector<Row>& rows, std::uint64_t seed) {
-  {
-    rtl::Module module = designs::makePlusNetwork(1024);
-    lock::LockEngine engine{module, lock::PairTable::fixed()};
-    support::Rng rng{seed};
-    constexpr int kIterations = 2000;
-    timedRow(rows, "perf", "plus_network_1024", "lock_undo_us_per_op", [&] {
-      const auto start = Clock::now();
-      for (int i = 0; i < kIterations; ++i) {
-        const auto checkpoint = engine.checkpoint();
-        (void)engine.lockRandomOp(rng);
-        engine.undoTo(checkpoint);
-      }
-      return elapsedMs(start) * 1000.0 / kIterations;
-    });
-  }
-  {
-    rtl::Module module = designs::makePlusNetwork(1024);
-    lock::LockEngine engine{module, lock::PairTable::fixed()};
-    support::Rng rng{seed + 1};
-    lock::assureRandomLock(engine, static_cast<int>(0.75 * engine.initialLockableOps()), rng);
-    constexpr int kIterations = 50;
-    timedRow(rows, "perf", "plus_network_1024 @75%", "extract_localities_ms", [&] {
-      const auto start = Clock::now();
-      for (int i = 0; i < kIterations; ++i) {
-        if (attack::extractLocalities(module, {}).empty()) return -1.0;
-      }
-      return elapsedMs(start) / kIterations;
-    });
-  }
-  {
-    const rtl::Module module = designs::makeBenchmark("MD5");
-    const std::string text = verilog::writeModule(module);
-    constexpr int kIterations = 20;
-    timedRow(rows, "perf", "MD5", "verilog_roundtrip_ms", [&] {
-      const auto start = Clock::now();
-      for (int i = 0; i < kIterations; ++i) {
-        if (verilog::writeModule(verilog::parseModule(text)).empty()) return -1.0;
-      }
-      return elapsedMs(start) / kIterations;
-    });
-  }
-  {
-    const rtl::Module module = designs::makeBenchmark("SHA256");
-    support::Rng rng{seed + 2};
-    const auto blk = *module.findSignal("blk");
-    const auto digest = *module.findSignal("digest");
-    // Production backend: compiled bytecode tape (this is the headline
-    // simulate_cycle_us row that optimisation PRs track).
-    {
-      sim::CompiledSim compiled{module};
-      constexpr int kIterations = 2000;
-      timedRow(rows, "perf", "SHA256", "simulate_cycle_us", [&] {
-        const auto start = Clock::now();
-        for (int i = 0; i < kIterations; ++i) {
-          compiled.setValue(blk, sim::BitVector::random(32, rng));
-          compiled.settle();
-          (void)compiled.value(digest);
-        }
-        return elapsedMs(start) * 1000.0 / kIterations;
-      });
-    }
-    // Reference interpreter, for the backend-vs-backend trajectory.
-    {
-      sim::Evaluator eval{module};
-      constexpr int kIterations = 200;
-      timedRow(rows, "perf", "SHA256 (interpreter)", "simulate_cycle_us", [&] {
-        const auto start = Clock::now();
-        for (int i = 0; i < kIterations; ++i) {
-          eval.setValue(blk, sim::BitVector::random(32, rng));
-          eval.settle();
-          (void)eval.value(digest);
-        }
-        return elapsedMs(start) * 1000.0 / kIterations;
-      });
-    }
-  }
-  {
-    // Corruption sweep: compile a locked SHA256 pair once, then measure
-    // output corruption under many hypothesis keys (the oracle-guided
-    // attack's hot loop shape).  outputCorruptionBatch packs the key x
-    // vector measurements 64 per tape pass over one shared stimulus set.
-    const rtl::Module original = designs::makeBenchmark("SHA256");
-    rtl::Module locked = original.clone();
-    lock::LockEngine engine{locked, lock::PairTable::fixed()};
-    support::Rng lockRng{seed + 4};
-    lock::assureRandomLock(engine, engine.initialLockableOps() / 2, lockRng);
-    sim::EquivalenceOptions options;
-    options.vectors = 4;
-    options.cyclesPerVector = 4;
-    constexpr int kKeys = 20;
-    std::vector<sim::BitVector> keys;
-    keys.reserve(kKeys);
-    support::Rng rng{seed + 5};
-    for (int i = 0; i < kKeys; ++i) {
-      keys.push_back(sim::BitVector::random(locked.keyWidth(), rng));
-    }
-    constexpr int kIterations = 20;  // one batch is ~0.1 ms; amortise the timer
-    sim::Harness harness{original, locked};
-    timedRow(rows, "perf", "SHA256 locked@50%", "corruption_sweep_ms", [&] {
-      const auto start = Clock::now();
-      for (int i = 0; i < kIterations; ++i) {
-        support::Rng stimulusRng{seed + 6};
-        if (harness.outputCorruptionBatch(keys, options, stimulusRng).size() != kKeys) {
-          return -1.0;
-        }
-      }
-      return elapsedMs(start) / (kKeys * kIterations);
-    });
-  }
-  {
-    // Sliced-attack row: the same batched sweep shape on an ASSURE-locked
-    // FIR at the paper's 75 % budget — the design/keyspace the oracle-guided
-    // attack actually hammers.  More keys than SHA256's sweep so several
-    // 64-lane chunks run per measurement.
-    const rtl::Module original = designs::makeBenchmark("FIR");
-    rtl::Module locked = original.clone();
-    lock::LockEngine engine{locked, lock::PairTable::fixed()};
-    support::Rng lockRng{seed + 7};
-    lock::assureRandomLock(
-        engine, static_cast<int>(0.75 * engine.initialLockableOps()), lockRng);
-    sim::Harness harness{original, locked};
-    sim::EquivalenceOptions options;
-    options.vectors = 4;
-    options.cyclesPerVector = 4;
-    constexpr int kKeys = 64;
-    std::vector<sim::BitVector> keys;
-    keys.reserve(kKeys);
-    support::Rng rng{seed + 11};
-    for (int i = 0; i < kKeys; ++i) {
-      keys.push_back(sim::BitVector::random(locked.keyWidth(), rng));
-    }
-    constexpr int kIterations = 20;
-    timedRow(rows, "perf", "FIR locked@75%", "sliced_corruption_sweep_ms", [&] {
-      const auto start = Clock::now();
-      for (int i = 0; i < kIterations; ++i) {
-        support::Rng stimulusRng{seed + 12};
-        if (harness.outputCorruptionBatch(keys, options, stimulusRng).size() != kKeys) {
-          return -1.0;
-        }
-      }
-      return elapsedMs(start) / (kKeys * kIterations);
-    });
-  }
-  {
-    // Static analysis cost: full verifier + security lint (key-influence
-    // fixpoint included) over a locked SHA256 — the `rtlock lint` hot path
-    // and the price debug builds pay per RTLOCK_DEBUG_VERIFY_IR call site.
-    const rtl::Module original = designs::makeBenchmark("SHA256");
-    rtl::Module locked = original.clone();
-    lock::LockEngine engine{locked, lock::PairTable::fixed()};
-    support::Rng lockRng{seed + 4};
-    lock::assureRandomLock(engine, engine.initialLockableOps() / 2, lockRng);
-    constexpr int kRepeats = 10;
-    timedRow(rows, "perf", "SHA256 locked@50%", "lint_ms", [&] {
-      const auto start = Clock::now();
-      for (int i = 0; i < kRepeats; ++i) {
-        const auto findings = analysis::verify(locked);
-        const auto report = analysis::lintLocked(locked);
-        if (!findings.empty() || report.summary.keyWidth != locked.keyWidth()) {
-          throw support::Error{"lint bench: unexpected analysis result"};
-        }
-      }
-      return elapsedMs(start) / kRepeats;
-    });
-  }
-  {
-    // End-to-end SnapShot attack (the PR-4 headline row): one paper-sized
-    // attack — 1000 relock rounds (the paper's training setup), locality
-    // harvesting, auto-ml selection and per-bit prediction — against an
-    // ASSURE-locked FIR.  This is the attack-pipeline cost that dominates
-    // experiment wall time now that simulation is cheap; it exercises the
-    // incremental harvester, the flat ML data plane and the engine's
-    // lock/undo hot loop together.
-    rtl::Module locked = designs::makeBenchmark("FIR");
-    lock::LockEngine engine{locked, lock::PairTable::fixed()};
-    support::Rng lockRng{seed + 7};
-    lock::assureRandomLock(
-        engine, static_cast<int>(0.75 * engine.initialLockableOps()), lockRng);
-    const std::vector<lock::LockRecord> truth = engine.records();
-    attack::SnapshotConfig config;
-    config.relockRounds = 1000;
-    config.automl.folds = 3;
-    support::Rng rng{seed + 8};
-    constexpr int kIterations = 3;
-    timedRow(rows, "perf", "FIR locked@75%", "snapshot_attack_ms", [&] {
-      const auto start = Clock::now();
-      for (int i = 0; i < kIterations; ++i) {
-        if (attack::snapshotAttack(locked, truth, lock::PairTable::fixed(), config, rng)
-                .keyBits == 0) {
-          return -1.0;
-        }
-      }
-      return elapsedMs(start) / kIterations;
-    });
-  }
-  {
-    // Auto-ml portfolio selection on a locality-shaped training set (the
-    // attack's step-3 cost in isolation).
-    support::Rng dataRng{seed + 9};
-    ml::Dataset training{2};
-    for (int i = 0; i < 5000; ++i) {
-      const auto c1 = static_cast<double>(dataRng.below(8));
-      const auto c2 = static_cast<double>(dataRng.below(8));
-      training.add({c1, c2}, dataRng.chance(c1 > c2 ? 0.9 : 0.3) ? 1 : 0);
-    }
-    ml::AutoMlConfig config;
-    config.folds = 3;
-    constexpr int kIterations = 3;
-    timedRow(rows, "perf", "locality_rows_5000", "automl_fit_ms", [&] {
-      const auto start = Clock::now();
-      for (int i = 0; i < kIterations; ++i) {
-        support::Rng rng{seed + 10};
-        if (ml::autoSelect(training, config, rng).model == nullptr) return -1.0;
-      }
-      return elapsedMs(start) / kIterations;
-    });
-  }
-  {
-    constexpr int kIterations = 5;
-    timedRow(rows, "perf", "era plus_network_256", "era_lock_ms", [&] {
-      double totalMs = 0.0;
-      for (int i = 0; i < kIterations; ++i) {
-        rtl::Module module = designs::makePlusNetwork(256);
-        lock::LockEngine engine{module, lock::PairTable::fixed()};
-        support::Rng rng{seed + 3};
-        const auto start = Clock::now();
-        (void)lock::eraLock(engine, engine.initialLockableOps(), rng);
-        totalMs += elapsedMs(start);
-      }
-      return totalMs / kIterations;
-    });
-  }
-}
-
-// --- service: session-cache amortisation and serve throughput --------------
-//
-// The serve PR's headline: a warm SessionCache fetch skips the parse +
-// verify pipeline entirely, so repeated work
-// on the same design (CLI re-runs, service traffic) pays it once.  The
-// speedup row is the cold build cost over the warm fetch cost; the serve
-// smoke row drives the real daemon over loopback TCP end to end.
-
-/// One GET /healthz round-trip against a local rtlock serve daemon.
-bool healthzRoundTrip(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) != 0) {
-    ::close(fd);
-    return false;
-  }
-  const std::string request = "GET /healthz HTTP/1.1\r\nHost: bench\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string reply;
-  char buffer[2048];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n <= 0) break;
-    reply.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return reply.find(" 200 OK") != std::string::npos;
-}
-
-void runService(std::vector<Row>& rows) {
-  {
-    const rtl::Module module = designs::makeBenchmark("SHA256");
-    const std::string source = verilog::writeModule(module);
-    const service::SessionOptions options;
-    // Cold: a fresh cache pays the full build pipeline once.
-    const auto coldStart = Clock::now();
-    service::SessionCache coldCache;
-    (void)coldCache.fetch(source, options);
-    const double coldMs = elapsedMs(coldStart);
-    // Warm: hash the source, touch the LRU entry, hand back the pin.
-    service::SessionCache cache;
-    (void)cache.fetch(source, options);
-    constexpr int kIterations = 500;
-    const auto warmStart = Clock::now();
-    for (int i = 0; i < kIterations; ++i) {
-      if (!cache.fetch(source, options).hit) {
-        throw support::Error{"session bench: warm fetch missed"};
-      }
-    }
-    const double warmMs = elapsedMs(warmStart) / kIterations;
-    rows.push_back({"perf", "SHA256", "session_cold_build_ms", coldMs, coldMs});
-    rows.push_back(
-        {"perf", "SHA256", "session_warm_speedup", coldMs / std::max(warmMs, 1e-6), 0.0});
-  }
-  {
-    // Serve smoke: a self-draining daemon on an ephemeral loopback port,
-    // hammered with sequential /healthz round-trips.
-    constexpr int kRequests = 32;
-    service::ServeOptions options;
-    options.threads = 1;
-    options.maxRequests = kRequests;
-    service::Server server{options};
-    const int port = server.port();
-    std::thread runner{[&server] { (void)server.run(); }};
-    const auto start = Clock::now();
-    int ok = 0;
-    for (int i = 0; i < kRequests; ++i) ok += healthzRoundTrip(port) ? 1 : 0;
-    runner.join();
-    const double wallMs = elapsedMs(start);
-    if (ok != kRequests) {
-      throw support::Error{"serve smoke: " + std::to_string(kRequests - ok) +
-                           " request(s) failed"};
-    }
-    rows.push_back({"perf", "serve /healthz x" + std::to_string(kRequests), "requests_per_s",
-                    kRequests * 1000.0 / wallMs, wallMs});
   }
 }
 
@@ -697,12 +366,12 @@ int main(int argc, char** argv) {
     const bool json = args.getBool("json", false);
     const bool full = args.getBool("full", false);
     const bool csv = args.getBool("csv", false);
-    const int threads = rtlock::bench::requestedThreads(args);
+    const int threads = support::requestedThreads(args);
     const std::string outPath = args.get("out", "BENCH_baseline.json");
     const std::string checkPath = args.get("check", "");
 
-    rtlock::bench::banner("baseline runner — perf/quality trajectory seed",
-                          "Fig. 4/5/6 headline numbers + hot-path timings, fixed seeds",
+    rtlock::bench::banner("baseline runner — quality gate",
+                          "Fig. 4/5/6 headline numbers, fixed seeds",
                           "deterministic values per (seed, config); timings machine-dependent");
 
     std::vector<Row> rows;
@@ -710,8 +379,6 @@ int main(int argc, char** argv) {
     runFig4(rows, seed, threads);
     runFig5(rows, seed, threads);
     runFig6(rows, seed, full, threads);
-    runPerf(rows, seed);
-    runService(rows);
 
     support::Table table{{"bench", "config", "metric", "value", "wall_ms"}};
     for (const Row& row : rows) {

@@ -66,37 +66,4 @@ void emitRows(std::ostream& out, const std::vector<ReportRow>& rows, bool csv) {
   }
 }
 
-rtl::Module& selectModule(rtl::Design& design, const support::CliArgs& args, bool requireKey) {
-  std::vector<std::string> names;
-  for (std::size_t i = 0; i < design.moduleCount(); ++i) {
-    names.push_back(design.module(i).name());
-  }
-  if (args.has("module")) {
-    const std::string wanted = args.get("module", "");
-    if (rtl::Module* module = design.findModule(wanted)) return *module;
-    throw support::Error{"no module named \"" + wanted + "\" (design has: " +
-                         support::join(names, ", ") + ")"};
-  }
-  rtl::Module* chosen = nullptr;
-  std::size_t eligible = 0;
-  for (std::size_t i = 0; i < design.moduleCount(); ++i) {
-    rtl::Module& module = design.module(i);
-    if (requireKey && module.keyWidth() == 0) continue;
-    ++eligible;
-    if (chosen == nullptr) chosen = &module;
-  }
-  if (chosen == nullptr) {
-    throw support::Error{
-        requireKey
-            ? "no module has a key input — is this netlist locked, and is the key port named "
-              "correctly (see --key-port)?"
-            : "design contains no modules"};
-  }
-  if (eligible > 1) {
-    throw support::Error{"design has several candidate modules (" + support::join(names, ", ") +
-                         ") — pick one with --module=NAME"};
-  }
-  return *chosen;
-}
-
 }  // namespace rtlock::cli

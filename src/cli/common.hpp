@@ -16,7 +16,6 @@
 
 #include "cli/cli.hpp"
 #include "core/report.hpp"
-#include "rtl/module.hpp"
 #include "service/types.hpp"
 #include "support/cli.hpp"
 #include "support/diagnostics.hpp"
@@ -72,18 +71,6 @@ int runServeCommand(const std::vector<std::string>& args, CommandIo& io);
 /// missing or when extras are present.
 [[nodiscard]] std::string onePositional(const support::CliArgs& args, const char* what);
 
-/// Locking algorithm from its CLI spelling: serial|assure, random, hra,
-/// greedy, era (case-insensitive).  service::BadRequest otherwise
-/// (kExitUsage, like any flag typo).
-[[nodiscard]] inline lock::Algorithm algorithmFromFlag(const std::string& name) {
-  return service::algorithmFromName(name);
-}
-
-/// CLI spelling of an algorithm (lower-case, stable in reports/key files).
-[[nodiscard]] inline std::string algorithmFlagName(lock::Algorithm algorithm) {
-  return service::algorithmName(algorithm);
-}
-
 // Key budgets: "50%" / "0.5" = fraction of lockable operations, bare
 // integer = absolute key bits (service::BadRequest on malformed text).
 using service::BudgetSpec;
@@ -120,14 +107,5 @@ using service::keyFileFromJson;
 using service::keyFileToJson;
 using service::ModuleKey;
 using service::moduleKeyFor;
-
-// ---- module selection -----------------------------------------------------
-
-/// Picks the module a single-module command operates on: --module=NAME when
-/// given; otherwise the design's only module, or — when `requireKey` — its
-/// only keyed module.  Throws support::Error listing the candidates when the
-/// choice is ambiguous or impossible.
-[[nodiscard]] rtl::Module& selectModule(rtl::Design& design, const support::CliArgs& args,
-                                        bool requireKey);
 
 }  // namespace rtlock::cli

@@ -14,6 +14,7 @@
 #include "analysis/lint.hpp"
 #include "analysis/verifier.hpp"
 #include "cli/common.hpp"
+#include "service/api.hpp"
 #include "support/strings.hpp"
 #include "verilog/parser.hpp"
 
@@ -58,7 +59,8 @@ int runLintCommand(const std::vector<std::string>& args, CommandIo& io) {
 
   std::vector<const rtl::Module*> modules;
   if (flags.has("module")) {
-    modules.push_back(&selectModule(design, flags, /*requireKey=*/false));
+    modules.push_back(
+        &service::selectModule(design, flags.get("module", ""), /*requireKey=*/false));
   } else {
     for (std::size_t i = 0; i < design.moduleCount(); ++i) {
       modules.push_back(&design.module(i));

@@ -34,7 +34,7 @@ int runLockCommand(const std::vector<std::string>& args, CommandIo& io) {
   const std::string keyOutPath = flags.get("key-out", stemOf(inputPath) + ".key.json");
 
   service::LockRequest request;
-  request.algorithm = algorithmFromFlag(flags.get("algo", "era"));
+  request.algorithm = service::algorithmFromName(flags.get("algo", "era"));
   request.budget = parseBudget(flags.get("budget", "75%"));
   request.seed = u64Flag(flags, "seed", 1);
   request.emitBanner = !flags.getBool("no-banner", false);

@@ -28,44 +28,6 @@ void checkDeadline(const campaign::CellContext* deadline) {
   if (deadline != nullptr) deadline->checkDeadline();
 }
 
-/// Const counterpart of the CLI's selectModule: picks the module a request
-/// operates on — `name` when given, otherwise the design's only module or
-/// (requireKey) its only keyed module.  Throws support::Error listing the
-/// candidates when the choice is ambiguous or impossible.
-[[nodiscard]] const rtl::Module& selectSessionModule(const DesignSession& session,
-                                                     const std::string& name, bool requireKey) {
-  std::vector<std::string> names;
-  names.reserve(session.moduleCount());
-  for (std::size_t i = 0; i < session.moduleCount(); ++i) {
-    names.push_back(session.module(i).name());
-  }
-  if (!name.empty()) {
-    if (const rtl::Module* module = session.findModule(name)) return *module;
-    throw support::Error{"no module named \"" + name +
-                         "\" (design has: " + support::join(names, ", ") + ")"};
-  }
-  const rtl::Module* chosen = nullptr;
-  std::size_t eligible = 0;
-  for (std::size_t i = 0; i < session.moduleCount(); ++i) {
-    const rtl::Module& module = session.module(i);
-    if (requireKey && module.keyWidth() == 0) continue;
-    ++eligible;
-    if (chosen == nullptr) chosen = &module;
-  }
-  if (chosen == nullptr) {
-    throw support::Error{
-        requireKey
-            ? "no module has a key input — is this netlist locked, and is the key port named "
-              "correctly (see --key-port)?"
-            : "design contains no modules"};
-  }
-  if (eligible > 1) {
-    throw support::Error{"design has several candidate modules (" + support::join(names, ", ") +
-                         ") — pick one with --module=NAME"};
-  }
-  return *chosen;
-}
-
 /// Metrics an eval cell journals, in payload order (also the report-row
 /// order).
 constexpr const char* kCellMetrics[] = {"mean_kpa_percent",   "min_kpa_percent",
@@ -84,6 +46,40 @@ constexpr const char* kCellMetrics[] = {"mean_kpa_percent",   "min_kpa_percent",
 }
 
 }  // namespace
+
+const rtl::Module& selectModule(const rtl::Design& design, const std::string& name,
+                                bool requireKey) {
+  std::vector<std::string> names;
+  names.reserve(design.moduleCount());
+  const rtl::Module* named = nullptr;
+  const rtl::Module* chosen = nullptr;
+  std::size_t eligible = 0;
+  for (std::size_t i = 0; i < design.moduleCount(); ++i) {
+    const rtl::Module& module = design.module(i);
+    names.push_back(module.name());
+    if (named == nullptr && module.name() == name) named = &module;
+    if (requireKey && module.keyWidth() == 0) continue;
+    ++eligible;
+    if (chosen == nullptr) chosen = &module;
+  }
+  if (!name.empty()) {
+    if (named != nullptr) return *named;
+    throw support::Error{"no module named \"" + name +
+                         "\" (design has: " + support::join(names, ", ") + ")"};
+  }
+  if (chosen == nullptr) {
+    throw support::Error{
+        requireKey
+            ? "no module has a key input — is this netlist locked, and is the key port named "
+              "correctly (see --key-port)?"
+            : "design contains no modules"};
+  }
+  if (eligible > 1) {
+    throw support::Error{"design has several candidate modules (" + support::join(names, ", ") +
+                         ") — pick one with --module=NAME"};
+  }
+  return *chosen;
+}
 
 LockResponse runLock(SessionCache& cache, const LockRequest& request,
                      const campaign::CellContext* deadline) {
@@ -182,7 +178,7 @@ AttackResponse runAttack(SessionCache& cache, const AttackRequest& request,
   const SessionCache::FetchResult fetched = cache.fetch(request.source, request.session);
   checkDeadline(deadline);
   const rtl::Module& target =
-      selectSessionModule(*fetched.session, request.moduleName, /*requireKey=*/true);
+      selectModule(fetched.session->design(), request.moduleName, /*requireKey=*/true);
 
   AttackResponse response;
   response.designHash = fetched.session->contentHash();
@@ -442,7 +438,7 @@ EvalResponse runEval(SessionCache& cache, const EvalRequest& request) {
 
   const SessionCache::FetchResult fetched = cache.fetch(request.source, request.session);
   const rtl::Module& original =
-      selectSessionModule(*fetched.session, request.moduleName, /*requireKey=*/false);
+      selectModule(fetched.session->design(), request.moduleName, /*requireKey=*/false);
   {
     rtl::Module probe = original.clone();
     const lock::LockEngine probeEngine{probe, lock::PairTable::fixed()};

@@ -180,6 +180,16 @@ struct EvalResponse {
     const std::vector<campaign::Cell>& cells,
     const std::function<const campaign::CellOutcome*(std::size_t)>& outcomeAt, bool includeWall);
 
+// ---- module selection ------------------------------------------------------
+
+/// Picks the module a single-module request operates on: the module called
+/// `name` when it is non-empty; otherwise the design's only module, or —
+/// when `requireKey` — its only keyed module.  Throws support::Error listing
+/// the design's modules when the choice is ambiguous or impossible.  The one
+/// selector behind runAttack, runEval and `rtlock lint --module`.
+[[nodiscard]] const rtl::Module& selectModule(const rtl::Design& design, const std::string& name,
+                                              bool requireKey);
+
 // ---- report documents ------------------------------------------------------
 
 /// `rtlock-attack-report/v1` document (the --report file / HTTP body).

@@ -15,19 +15,12 @@ constexpr int kEnginePipelineRevision = 1;
 }  // namespace
 
 const BuildInfo& buildInfo() noexcept {
-  static const BuildInfo info{RTLOCK_VERSION, {"interpreter", "compiled", "sliced"}};
+  static const BuildInfo info{RTLOCK_VERSION};
   return info;
 }
 
 const std::string& generatorTag() noexcept {
-  static const std::string tag = [] {
-    std::string backends;
-    for (const std::string& backend : buildInfo().simBackends) {
-      if (!backends.empty()) backends += ',';
-      backends += backend;
-    }
-    return "rtlock " + buildInfo().version + " (sim: " + backends + ")";
-  }();
+  static const std::string tag = "rtlock " + buildInfo().version;
   return tag;
 }
 

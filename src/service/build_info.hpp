@@ -1,5 +1,4 @@
-// Build identity: the version tag and capability list every provenance
-// surface shares.
+// Build identity: the version tag every provenance surface shares.
 //
 // One implementation feeds four consumers — `rtlock --version`, the
 // `GET /healthz` endpoint, the `Server:` response header, and the
@@ -11,19 +10,17 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 namespace rtlock::service {
 
 struct BuildInfo {
-  std::string version;                   // semantic project version ("0.1.0")
-  std::vector<std::string> simBackends;  // execution backends compiled in
+  std::string version;  // semantic project version ("0.1.0")
 };
 
 /// The binary's build identity (stable for the process lifetime).
 [[nodiscard]] const BuildInfo& buildInfo() noexcept;
 
-/// One-line provenance stamp: "rtlock <version> (sim: a,b,c)".  This is the
+/// One-line provenance stamp: "rtlock <version>".  This is the
 /// `generator` value in report documents and the --version headline.
 [[nodiscard]] const std::string& generatorTag() noexcept;
 

@@ -164,11 +164,6 @@ HttpResponse Dispatcher::route(const HttpRequest& request) {
     document.set("status", "ok");
     document.set("version", buildInfo().version);
     document.set("engine", engineVersionTag());
-    support::JsonArray backends;
-    for (const std::string& backend : buildInfo().simBackends) {
-      backends.push_back(support::JsonValue{backend});
-    }
-    document.set("sim_backends", support::JsonValue{std::move(backends)});
     HttpResponse response;
     response.body = document.dump();
     return response;

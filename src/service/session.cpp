@@ -25,13 +25,6 @@ DesignSession::DesignSession(std::string hash, std::string_view source,
   approxBytes_ = bytes < 1024 ? 1024 : bytes;
 }
 
-const rtl::Module* DesignSession::findModule(std::string_view name) const noexcept {
-  for (std::size_t i = 0; i < design_.moduleCount(); ++i) {
-    if (design_.module(i).name() == name) return &design_.module(i);
-  }
-  return nullptr;
-}
-
 rtl::Design DesignSession::cloneDesign() const {
   rtl::Design clone;
   for (std::size_t i = 0; i < design_.moduleCount(); ++i) {

@@ -67,8 +67,6 @@ class DesignSession {
   [[nodiscard]] const rtl::Module& module(std::size_t index) const {
     return design_.module(index);
   }
-  /// Module lookup by name; nullptr when absent.
-  [[nodiscard]] const rtl::Module* findModule(std::string_view name) const noexcept;
 
   /// Clones every module into a fresh mutable Design (module order and top
   /// selection preserved) — the unit of work for requests that lock.

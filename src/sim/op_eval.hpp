@@ -1,9 +1,9 @@
 // Operator semantics shared by both simulation backends.
 //
-// The reference interpreter applies these directly while walking the
-// expression tree; the compiled backend calls them from its wide-value
-// fallback opcodes, so a single definition fixes the semantics of every
-// operator for both.
+// The sliced tape calls them from its per-lane fallback; the test-only
+// oracles in tests/sim/ apply them while walking the expression tree and
+// from the scalar tape's wide-value opcodes, so a single definition fixes
+// the semantics of every operator for all three.
 #pragma once
 
 #include "rtl/ops.hpp"

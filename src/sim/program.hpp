@@ -18,9 +18,10 @@
 //    the executor (copy-in before the tape, commit after), so all right-hand
 //    sides observe the pre-edge state.
 //
-// Programs are produced by sim::Compiler and executed by sim::CompiledSim;
-// one Program can back any number of concurrently running CompiledSim
-// instances (each owns its own arena).
+// Programs are produced by sim::Compiler and executed by sim::SlicedSim
+// (sliced encoding) or by the test-only scalar oracle in tests/sim/
+// (offset encoding); one Program can back any number of concurrently running
+// executors (each owns its own arena).
 #pragma once
 
 #include <cstdint>
@@ -149,8 +150,8 @@ class Program {
   /// True for programs produced by Compiler::compileSliced: operands are slot
   /// ids (not word offsets), tapes are jump-free (if/case are lowered to
   /// predicated masked selects) and there are no Wide* opcodes.  Such
-  /// programs run on sim::SlicedSim; offset-encoded programs run on
-  /// sim::CompiledSim.  The two encodings are never mixed.
+  /// programs run on sim::SlicedSim; offset-encoded programs run on the
+  /// scalar oracle in tests/sim/.  The two encodings are never mixed.
   [[nodiscard]] bool slicedLowering() const noexcept { return sliced_; }
 
   /// Total tape length across the combinational and sequential tapes.

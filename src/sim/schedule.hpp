@@ -3,8 +3,9 @@
 // Continuous assignments and always @(*) processes are topologically ordered
 // over their signal dependencies (combinational loops are rejected with
 // support::Error); sequential processes are grouped by driving clock in
-// module order.  The reference interpreter (Evaluator) executes the schedule
-// directly; the bytecode Compiler lowers it to a flat tape.
+// module order.  The bytecode Compiler lowers it to a flat tape; the
+// test-only reference interpreter (tests/sim/evaluator.hpp) executes it
+// directly.
 #pragma once
 
 #include <set>

@@ -1,7 +1,7 @@
 // Bit-sliced batch simulator: 64 stimulus vectors per tape pass.
 //
 // SlicedSim executes a Program in the *sliced* encoding (Compiler::
-// compileSliced) over a transposed value arena.  Where CompiledSim stores a
+// compileSliced) over a transposed value arena.  Where a scalar tape stores a
 // w-bit signal as ceil(w/64) words holding ONE value, SlicedSim stores it as
 // w *planes* — plane b is a 64-bit word whose bit L is bit b of lane L's
 // value.  Every 2-state logic op then becomes a handful of plain bitwise
@@ -22,15 +22,18 @@
 // pairs per tape pass.
 //
 // Semantics are differentially pinned against both the reference interpreter
-// and the scalar tape by tests/sim/sliced_sim_test.cpp; the scalar backends
-// remain the oracles (see src/sim/README.md for the contract).
+// and the scalar tape by tests/sim/sliced_sim_test.cpp; those scalar backends
+// are test-only oracles in tests/sim/ (see src/sim/README.md for the
+// contract).
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
-#include "sim/compiled_sim.hpp"
+#include "sim/bitvector.hpp"
+#include "sim/program.hpp"
 
 namespace rtlock::sim {
 
@@ -45,7 +48,15 @@ class SlicedSim {
   /// Lane capacity of one arena (bits per machine word).
   static constexpr int kLanes = 64;
 
-  using BatchRequest = CompiledSim::BatchRequest;
+  /// One batch run description: which ports to drive (in stimulus order),
+  /// which to sample, and how many cycles per vector.
+  struct BatchRequest {
+    std::vector<rtl::SignalId> inputs;
+    std::vector<rtl::SignalId> outputs;
+    /// Clock to toggle each cycle; nullopt runs purely combinationally.
+    std::optional<rtl::SignalId> clock;
+    int cycles = 1;
+  };
 
   /// Compiles `module` privately in the sliced encoding.
   explicit SlicedSim(const rtl::Module& module);
@@ -101,9 +112,12 @@ class SlicedSim {
         planeBase_[static_cast<std::size_t>(program_->signalSlotId(signal))])];
   }
 
-  /// Batch API with CompiledSim::runVectors semantics (same request shape,
-  /// same trace layout, same "empty keys = zero key" contract), evaluated in
-  /// chunks of up to kLanes vectors per tape pass.
+  /// Streams many stimulus/key pairs through the tape, in chunks of up to
+  /// kLanes vectors per pass.  `stimuli[v]` holds `cycles * inputs.size()`
+  /// values in cycle-major order; `keys` is empty (key stays zero) or holds
+  /// one key per vector.  Returns one output trace per vector: outputs
+  /// sampled after each settle and — for clocked runs — again after each
+  /// edge, in `outputs` order.
   [[nodiscard]] std::vector<std::vector<BitVector>> runVectors(
       const BatchRequest& request, const std::vector<std::vector<BitVector>>& stimuli,
       const std::vector<BitVector>& keys);

@@ -173,6 +173,25 @@ TEST(CliDispatchTest, FewerTrainingRowsThanFoldsIsRuntimeError) {
   EXPECT_EQ(result.out.find("cv_accuracy"), std::string::npos) << result.out;
 }
 
+TEST(CliDispatchTest, AttackWithSeveralKeyedModulesNeedsModuleFlag) {
+  const std::string path = ::testing::TempDir() + "cli_two_keyed.v";
+  {
+    std::ofstream out{path};
+    out << R"(
+module left (input [7:0] a, input [7:0] b, input [0:0] lock_key, output [7:0] y);
+  assign y = lock_key[0] ? (a + b) : (a - b);
+endmodule
+module right (input [7:0] a, input [7:0] b, input [0:0] lock_key, output [7:0] y);
+  assign y = lock_key[0] ? (a & b) : (a | b);
+endmodule
+)";
+  }
+  const auto result = runCli({"attack", path, "--rounds=2"});
+  EXPECT_EQ(result.exitCode, cli::kExitError);
+  EXPECT_NE(result.err.find("several candidate modules (left, right)"), std::string::npos)
+      << result.err;
+}
+
 TEST(CliDesignsTest, ListsAllRegistryDesigns) {
   const auto result = runCli({"designs"});
   ASSERT_EQ(result.exitCode, cli::kExitOk);

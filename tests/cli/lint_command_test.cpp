@@ -118,6 +118,24 @@ TEST(LintCommandTest, StructurallyBrokenInputFailsAtParse) {
   EXPECT_NE(result.err.find("V111"), std::string::npos) << result.err;
 }
 
+TEST(LintCommandTest, ModuleFlagPicksOneModuleAndNamesTheCandidatesOnAMiss) {
+  const std::string path = writeNetlist("lint_two_modules.v", std::string{kDeadBitNetlist} + R"(
+module other (input [7:0] a, output [7:0] y);
+  assign y = a + 8'd1;
+endmodule
+)");
+  const auto picked = runCli({"lint", path, "--module=other", "--csv", "--no-wall"});
+  ASSERT_EQ(picked.exitCode, 0) << picked.err;
+  EXPECT_NE(picked.out.find("other,lint,key_width,0"), std::string::npos) << picked.out;
+  EXPECT_EQ(picked.out.find("deadbit"), std::string::npos) << picked.out;
+
+  const auto missing = runCli({"lint", path, "--module=nope"});
+  EXPECT_EQ(missing.exitCode, 1);
+  EXPECT_NE(missing.err.find("no module named \"nope\" (design has: deadbit, other)"),
+            std::string::npos)
+      << missing.err;
+}
+
 TEST(LintCommandTest, UnknownFlagFailsUsage) {
   const auto result = runCli({"lint", "whatever.v", "--bogus"});
   EXPECT_EQ(result.exitCode, 2);

@@ -50,7 +50,8 @@ TEST_F(DispatchTest, HealthzReportsBuildIdentity) {
   EXPECT_EQ(document.find("status")->asString(), "ok");
   EXPECT_FALSE(document.find("version")->asString().empty());
   EXPECT_FALSE(document.find("engine")->asString().empty());
-  EXPECT_FALSE(document.find("sim_backends")->asArray().empty());
+  // No request selects a simulator backend, so /healthz names none.
+  EXPECT_EQ(document.find("sim_backends"), nullptr);
 }
 
 TEST_F(DispatchTest, StatsCountersTrackOutcomes) {
@@ -162,6 +163,23 @@ TEST_F(DispatchTest, AttackWithFewerTrainingRowsThanFoldsIs400) {
   EXPECT_NE(response.body.find("1 row(s) for 3 folds"), std::string::npos) << response.body;
   // The daemon keeps serving.
   EXPECT_EQ(dispatcher_.handle(makeRequest("GET", "/healthz")).status, 200);
+}
+
+TEST_F(DispatchTest, AttackOnAnUnknownModuleIs400) {
+  LockRequest lockReq;
+  lockReq.source = kMixer;
+  lockReq.seed = 7;
+  const LockResponse locked = runLock(cache_, lockReq);
+
+  support::JsonValue body;
+  body.set("source", locked.lockedVerilog);
+  body.set("module", "nope");
+  body.set("rounds", std::uint64_t{2});
+  const HttpResponse response =
+      dispatcher_.handle(makeRequest("POST", "/v1/attack", body.dump()));
+  ASSERT_EQ(response.status, 400);
+  EXPECT_EQ(support::parseJson(response.body).at("error").asString(),
+            "no module named \"nope\" (design has: mixer)");
 }
 
 TEST_F(DispatchTest, EvalEndpointRunsTheGrid) {

@@ -52,8 +52,6 @@ TEST(SessionTest, BuildsTheParsedDesign) {
   EXPECT_FALSE(fetched.hit);
   ASSERT_EQ(session->moduleCount(), 1u);
   EXPECT_EQ(session->module(0).name(), "mixer");
-  EXPECT_NE(session->findModule("mixer"), nullptr);
-  EXPECT_EQ(session->findModule("nope"), nullptr);
   // The size estimate is the source plus the IR proxy, floored at 1 KB.
   const std::size_t estimate =
       std::string_view{kMixer}.size() +

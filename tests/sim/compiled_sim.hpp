@@ -26,6 +26,7 @@
 
 #include "sim/bitvector.hpp"
 #include "sim/program.hpp"
+#include "sim/sliced_sim.hpp"
 
 namespace rtlock::sim {
 
@@ -62,15 +63,8 @@ class CompiledSim {
 
   // ---- batch-stimulus API ----
 
-  /// One batch run description: which ports to drive (in stimulus order),
-  /// which to sample, and how many cycles per vector.
-  struct BatchRequest {
-    std::vector<rtl::SignalId> inputs;
-    std::vector<rtl::SignalId> outputs;
-    /// Clock to toggle each cycle; nullopt runs purely combinationally.
-    std::optional<rtl::SignalId> clock;
-    int cycles = 1;
-  };
+  /// One batch run description, shared with SlicedSim::runVectors.
+  using BatchRequest = SlicedSim::BatchRequest;
 
   /// Streams many stimulus/key pairs through the compiled tape (compile
   /// once, simulate many).  `stimuli[v]` holds `cycles * inputs.size()`

@@ -12,6 +12,7 @@
 #include "designs/random.hpp"
 #include "designs/registry.hpp"
 #include "rtl/builder.hpp"
+#include "sim/compiled_sim.hpp"
 #include "sim/compiler.hpp"
 #include "sim/evaluator.hpp"
 
